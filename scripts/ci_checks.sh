@@ -4,7 +4,8 @@
 #   1. Release build + full ctest suite (tier-1), which includes the
 #      bench_smoke-labelled bench binaries at 0.1 scale — each asserts its
 #      internal bitwise contract (fused kernel ≡ fma reference, sparse
-#      roster ≡ dense rebuild, batched ≡ per-worker) before timing.
+#      roster ≡ dense rebuild, batched ≡ per-worker) before timing — then
+#      the concurrency subset repeated until failure (20 runs).
 #   2. ASan+UBSan pass: full suite + telemetry-enabled example in an
 #      instrumented tree (reports are fatal).
 #
@@ -31,6 +32,13 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # refresh), and charge-exactly-once comm accounting.
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -R '^(async_engine_test|evt_versioning_test)$'
+
+# Concurrency repeat gate: the multi-threaded tests again, 20 times each,
+# stopping at the first failure. A scheduling race that fails one run in
+# ten (a pool completion handshake, an unsynchronized test spy) passes a
+# single ctest pass but not this.
+ctest --test-dir "$BUILD_DIR" --output-on-failure --repeat until-fail:20 \
+  -R '^(thread_pool_test|engine_schedule_test|integration_test|async_engine_test)$'
 
 # --- gate 2: ASan + UBSan -------------------------------------------------
 cmake -B "$ASAN_DIR" -S . \

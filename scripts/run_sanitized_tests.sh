@@ -13,7 +13,9 @@
 #      over the pool-parallel eval/reduction paths at 4 threads), and the
 #      virtualized-population path (cohort sampling + parallel
 #      spill/restore with absent-policy replay under the 4-thread engine,
-#      pop_test / pop_parity_test / param_plane_test).
+#      pop_test / pop_parity_test / param_plane_test), and the allocation
+#      guard (nn_alloc_test), whose replaced global operator new must
+#      coexist with the sanitizer's allocator.
 #      TSan and ASan cannot share a process, hence the
 #      separate tree; the TSan pass runs the thread-touching tests rather
 #      than the full suite to keep its ~10x slowdown in budget.
@@ -53,7 +55,7 @@ cmake --build "$TSAN_DIR" -j "$(nproc)"
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 ctest --test-dir "$TSAN_DIR" --output-on-failure -R \
-  '^(thread_pool_test|obs_test|parallel_sync_test|engine_schedule_test|engine_weights_test|integration_test|property_sweep_test|gemm_batched_test|batched_parity_test|pop_test|pop_parity_test|param_plane_test|async_engine_test|evt_versioning_test)$'
+  '^(thread_pool_test|obs_test|parallel_sync_test|engine_schedule_test|engine_weights_test|integration_test|property_sweep_test|gemm_batched_test|batched_parity_test|pop_test|pop_parity_test|param_plane_test|async_engine_test|evt_versioning_test|nn_alloc_test)$'
 
 # Same telemetry-enabled example under TSan: obs recording + engine pools.
 (cd "$TSAN_DIR" && ./examples/telemetry_report)

@@ -42,7 +42,7 @@ void Dataset::gather(std::span<const std::size_t> indices, Tensor& x,
   shape.reserve(sample_shape_.size() + 1);
   shape.push_back(indices.size());
   shape.insert(shape.end(), sample_shape_.begin(), sample_shape_.end());
-  if (x.shape() != shape) x = Tensor(std::move(shape));
+  x.resize(shape);  // every element is overwritten below
   y.resize(indices.size());
   Scalar* out = x.raw();
   for (std::size_t b = 0; b < indices.size(); ++b) {

@@ -41,10 +41,8 @@ Engine::Engine(nn::ModelFactory factory, const data::TrainTest& data,
     HFL_CHECK(!p.empty(), "every worker needs at least one sample");
   }
   pool_ = std::make_unique<ThreadPool>(cfg_.num_threads);
-  eval_models_.reserve(pool_->size());
-  for (std::size_t i = 0; i < pool_->size(); ++i) {
-    eval_models_.push_back(factory_());
-  }
+  eval_slots_.resize(pool_->size());
+  for (EvalSlot& slot : eval_slots_) slot.model = factory_();
   if (cfg_.batched) {
     // nullptr (unsupported architecture/loss) simply keeps the per-worker
     // path for the whole run.
@@ -212,18 +210,19 @@ nn::EvalResult Engine::evaluate(const Vec& params) {
   // each batch — false sharing on the eval hot path). The final merge below
   // walks batches in index order, so the totals are bit-identical for every
   // thread count and block shape.
-  const std::size_t num_blocks = std::min(num_batches, eval_models_.size());
+  const std::size_t num_blocks = std::min(num_batches, eval_slots_.size());
   const std::size_t batches_per_block =
       (num_batches + num_blocks - 1) / num_blocks;
   pool_->parallel_for(num_blocks, [&](std::size_t blk) {
     const std::size_t blo = blk * batches_per_block;
     const std::size_t bhi = std::min(num_batches, blo + batches_per_block);
     if (blo >= bhi) return;
-    nn::Model& model = *eval_models_[blk];
+    EvalSlot& slot = eval_slots_[blk];
+    nn::Model& model = *slot.model;
     model.set_params(params);
-    Tensor x;
-    std::vector<std::size_t> y;
-    std::vector<std::size_t> idx;
+    Tensor& x = slot.x;
+    std::vector<std::size_t>& y = slot.y;
+    std::vector<std::size_t>& idx = slot.idx;
     std::vector<Scalar> local_loss(bhi - blo), local_correct(bhi - blo);
     std::vector<std::size_t> local_count(bhi - blo);
     for (std::size_t b = blo; b < bhi; ++b) {

@@ -243,7 +243,14 @@ class Engine {
   Topology topo_;
   RunConfig cfg_;
   std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::unique_ptr<nn::Model>> eval_models_;  // one per thread
+  // One evaluation slot per pool thread: a model plus its batch-gather
+  // scratch, kept together so every evaluate() reuses the same buffers.
+  struct EvalSlot {
+    std::unique_ptr<nn::Model> model;
+    Tensor x;
+    std::vector<std::size_t> y, idx;
+  };
+  std::vector<EvalSlot> eval_slots_;
   // Non-null when cfg_.batched and the architecture compiles to a cohort
   // plan; per-iteration scratch rides along to avoid reallocation.
   std::unique_ptr<nn::CohortModel> cohort_;

@@ -4,54 +4,51 @@
 
 namespace hfl::nn {
 
-Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
-  input_ = x;
-  Tensor out = x;
-  for (auto& v : out.data()) {
-    if (v < 0) v = 0;
-  }
-  return out;
+void ReLU::forward_into(const Tensor& x, Tensor& out, bool train) {
+  if (train) input_ = x;
+  out.resize(x.shape());
+  for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] < 0 ? 0 : x[i];
 }
 
-Tensor ReLU::backward(const Tensor& grad_out) {
+void ReLU::backward_into(const Tensor& grad_out, Tensor* grad_in) {
   HFL_CHECK(grad_out.same_shape(input_), "ReLU backward shape mismatch");
-  Tensor grad_in = grad_out;
-  for (std::size_t i = 0; i < grad_in.size(); ++i) {
-    if (input_[i] <= 0) grad_in[i] = 0;
+  if (grad_in == nullptr) return;
+  grad_in->resize(grad_out.shape());
+  for (std::size_t i = 0; i < grad_out.size(); ++i) {
+    (*grad_in)[i] = input_[i] <= 0 ? 0 : grad_out[i];
   }
-  return grad_in;
 }
 
-Tensor Tanh::forward(const Tensor& x, bool /*train*/) {
-  Tensor out = x;
-  for (auto& v : out.data()) v = std::tanh(v);
-  output_ = out;
-  return out;
+void Tanh::forward_into(const Tensor& x, Tensor& out, bool train) {
+  out.resize(x.shape());
+  for (std::size_t i = 0; i < x.size(); ++i) out[i] = std::tanh(x[i]);
+  if (train) output_ = out;
 }
 
-Tensor Tanh::backward(const Tensor& grad_out) {
+void Tanh::backward_into(const Tensor& grad_out, Tensor* grad_in) {
   HFL_CHECK(grad_out.same_shape(output_), "Tanh backward shape mismatch");
-  Tensor grad_in = grad_out;
-  for (std::size_t i = 0; i < grad_in.size(); ++i) {
-    grad_in[i] *= 1.0 - output_[i] * output_[i];
+  if (grad_in == nullptr) return;
+  grad_in->resize(grad_out.shape());
+  for (std::size_t i = 0; i < grad_out.size(); ++i) {
+    (*grad_in)[i] = grad_out[i] * (1.0 - output_[i] * output_[i]);
   }
-  return grad_in;
 }
 
-Tensor Sigmoid::forward(const Tensor& x, bool /*train*/) {
-  Tensor out = x;
-  for (auto& v : out.data()) v = 1.0 / (1.0 + std::exp(-v));
-  output_ = out;
-  return out;
+void Sigmoid::forward_into(const Tensor& x, Tensor& out, bool train) {
+  out.resize(x.shape());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    out[i] = 1.0 / (1.0 + std::exp(-x[i]));
+  }
+  if (train) output_ = out;
 }
 
-Tensor Sigmoid::backward(const Tensor& grad_out) {
+void Sigmoid::backward_into(const Tensor& grad_out, Tensor* grad_in) {
   HFL_CHECK(grad_out.same_shape(output_), "Sigmoid backward shape mismatch");
-  Tensor grad_in = grad_out;
-  for (std::size_t i = 0; i < grad_in.size(); ++i) {
-    grad_in[i] *= output_[i] * (1.0 - output_[i]);
+  if (grad_in == nullptr) return;
+  grad_in->resize(grad_out.shape());
+  for (std::size_t i = 0; i < grad_out.size(); ++i) {
+    (*grad_in)[i] = grad_out[i] * (output_[i] * (1.0 - output_[i]));
   }
-  return grad_in;
 }
 
 }  // namespace hfl::nn

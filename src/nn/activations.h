@@ -10,8 +10,8 @@ namespace hfl::nn {
 class ReLU final : public Layer {
  public:
   std::string kind() const override { return "relu"; }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_into(const Tensor& x, Tensor& out, bool train) override;
+  void backward_into(const Tensor& grad_out, Tensor* grad_in) override;
 
  private:
   Tensor input_;
@@ -20,8 +20,8 @@ class ReLU final : public Layer {
 class Tanh final : public Layer {
  public:
   std::string kind() const override { return "tanh"; }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_into(const Tensor& x, Tensor& out, bool train) override;
+  void backward_into(const Tensor& grad_out, Tensor* grad_in) override;
 
  private:
   Tensor output_;
@@ -30,8 +30,8 @@ class Tanh final : public Layer {
 class Sigmoid final : public Layer {
  public:
   std::string kind() const override { return "sigmoid"; }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_into(const Tensor& x, Tensor& out, bool train) override;
+  void backward_into(const Tensor& grad_out, Tensor* grad_in) override;
 
  private:
   Tensor output_;

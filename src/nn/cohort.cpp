@@ -20,11 +20,6 @@ namespace {
 // on tiling (see cohort.h).
 constexpr std::size_t kTileElems = std::size_t{1} << 18;
 
-void ensure_matrix(Tensor& t, std::size_t rows, std::size_t cols) {
-  if (t.rank() == 2 && t.dim(0) == rows && t.dim(1) == cols) return;
-  t = Tensor({rows, cols});
-}
-
 }  // namespace
 
 struct CohortModel::Stage {
@@ -165,7 +160,7 @@ void CohortModel::dense_forward(const Stage& st, const Tensor* in, Tensor& out,
   HFL_CHECK(in == nullptr || (in->rank() == 2 && in->dim(1) == nin),
             "cohort dense input width mismatch");
   const std::size_t base = row_off_[ilo];
-  ensure_matrix(out, row_off_[ihi] - base, nout);
+  out.resize({row_off_[ihi] - base, nout});
 
   const auto gemm1 = mixed ? ops::gemm_mixed : ops::gemm;
   for (std::size_t i = ilo; i < ihi; ++i) {
@@ -205,7 +200,7 @@ void CohortModel::dense_backward(const Stage& st, const Tensor* in,
                                  std::size_t ihi, bool mixed) {
   const std::size_t nin = st.in, nout = st.out;
   const std::size_t base = row_off_[ilo];
-  if (gin != nullptr) ensure_matrix(*gin, row_off_[ihi] - base, nin);
+  if (gin != nullptr) gin->resize({row_off_[ihi] - base, nin});
 
   const auto gemm1 = mixed ? ops::gemm_mixed : ops::gemm;
   thread_local Vec dw;
@@ -265,8 +260,7 @@ void CohortModel::conv_forward(const Stage& st, const Tensor* in, Tensor& out,
   const std::size_t OH = H + 2 * s.pad - s.k + 1;
   const std::size_t OW = W + 2 * s.pad - s.k + 1;
   const std::size_t base = row_off_[ilo];
-  const std::vector<std::size_t> shape{row_off_[ihi] - base, s.out_ch, OH, OW};
-  if (out.shape() != shape) out = Tensor(shape);
+  out.resize({row_off_[ihi] - base, s.out_ch, OH, OW});
 
   for (std::size_t i = ilo; i < ihi; ++i) {
     Scalar* out0 = out.raw() + (row_off_[i] - base) * s.out_ch * OH * OW;
@@ -295,8 +289,8 @@ void CohortModel::conv_backward(const Stage& st, const Tensor* in,
   const std::size_t OW = W + 2 * s.pad - s.k + 1;
   const std::size_t base = row_off_[ilo];
   if (gin != nullptr) {
-    // Zero-initialized: col2im scatter-adds into it.
-    *gin = Tensor({row_off_[ihi] - base, s.in_ch, H, W});
+    gin->resize({row_off_[ihi] - base, s.in_ch, H, W});
+    gin->fill(0.0);  // col2im scatter-adds into it
   }
   for (std::size_t i = ilo; i < ihi; ++i) {
     const std::size_t row = row_off_[i] - base;
@@ -378,6 +372,7 @@ void CohortModel::run_tile(std::size_t t, std::size_t ilo, std::size_t ihi,
   Sequential& net = tile_probes_[t]->net();
   std::vector<Tensor>& acts = tile_acts_[t];
   acts.resize(stages_.size() + 1);
+  std::array<Tensor, 2>& grads = tile_grads_[t];
 
   for (std::size_t i = ilo; i < ihi; ++i) {
     std::fill(items[i].grad, items[i].grad + num_params, 0.0);
@@ -393,7 +388,7 @@ void CohortModel::run_tile(std::size_t t, std::size_t ilo, std::size_t ihi,
     shape.reserve(ss.size() + 1);
     shape.push_back(rows);
     shape.insert(shape.end(), ss.begin(), ss.end());
-    if (acts[0].shape() != shape) acts[0] = Tensor(std::move(shape));
+    acts[0].resize(shape);
     for (std::size_t i = ilo; i < ihi; ++i) {
       std::memcpy(acts[0].raw() + (row_off_[i] - base) * sample_elems_,
                   items[i].x->raw(),
@@ -407,7 +402,8 @@ void CohortModel::run_tile(std::size_t t, std::size_t ilo, std::size_t ihi,
         direct_input_ && s == first_param_ ? nullptr : &acts[s];
     switch (st.kind) {
       case Stage::Kind::kPass:
-        acts[s + 1] = net.layer(st.layer).forward(acts[s], /*train=*/true);
+        net.layer(st.layer).forward_into(acts[s], acts[s + 1],
+                                         /*train=*/true);
         break;
       case Stage::Kind::kDense:
         dense_forward(st, in, acts[s + 1], items, ilo, ihi, mixed);
@@ -418,35 +414,39 @@ void CohortModel::run_tile(std::size_t t, std::size_t ilo, std::size_t ihi,
     }
   }
 
-  Tensor g;
-  loss_stage(acts[stages_.size()], g, items, ilo, ihi);
+  // The loss gradient (B × classes, small) is a fresh tensor on every tile
+  // run, on purpose. Reusing it was measured to slow pop_revisit by about
+  // 8 %: it is the one per-step allocation the logistic cohort makes on the
+  // pool threads, and without it the cohort store's per-worker vectors
+  // land less compactly in malloc's arenas, so the spill/restore passes
+  // that walk them slow down. Stage input gradients, which are
+  // activation-sized, alternate between the tile's two reused buffers.
+  Tensor loss_grad;
+  loss_stage(acts[stages_.size()], loss_grad, items, ilo, ihi);
+  const Tensor* g = &loss_grad;
+  std::size_t cur = 0;
 
   // Backward stops at the first parametric stage: everything before it is
-  // parameter-free, so its input gradient is dead work (the generic
-  // per-worker layer chain cannot know this and computes it anyway).
+  // parameter-free, so its input gradient is dead work (the same rule
+  // Sequential::backward_into applies when given a null grad_in).
   for (std::size_t s = stages_.size(); s-- > first_param_;) {
     const Stage& st = stages_[s];
     const bool last = s == first_param_;
     const Tensor* in = direct_input_ && last ? nullptr : &acts[s];
+    Tensor* gin = last ? nullptr : &grads[cur];
     switch (st.kind) {
       case Stage::Kind::kPass:
-        g = net.layer(st.layer).backward(g);
+        net.layer(st.layer).backward_into(*g, gin);
         break;
-      case Stage::Kind::kDense: {
-        Tensor gin;
-        dense_backward(st, in, g, last ? nullptr : &gin, items, ilo, ihi,
-                       mixed);
-        g = std::move(gin);
+      case Stage::Kind::kDense:
+        dense_backward(st, in, *g, gin, items, ilo, ihi, mixed);
         break;
-      }
-      case Stage::Kind::kConv: {
-        Tensor gin;
-        conv_backward(st, in, g, last ? nullptr : &gin, items, ilo, ihi,
-                      mixed);
-        g = std::move(gin);
+      case Stage::Kind::kConv:
+        conv_backward(st, in, *g, gin, items, ilo, ihi, mixed);
         break;
-      }
     }
+    g = gin;
+    cur ^= 1;
   }
 }
 
@@ -501,6 +501,7 @@ void CohortModel::run(std::span<CohortItem> items, ThreadPool* pool,
 
   while (tile_probes_.size() < tiles.size()) tile_probes_.push_back(factory_());
   tile_acts_.resize(tiles.size());
+  tile_grads_.resize(tiles.size());
 
   if (pool == nullptr || pool->size() <= 1 || tiles.size() <= 1) {
     for (std::size_t t = 0; t < tiles.size(); ++t) {

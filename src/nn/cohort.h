@@ -28,13 +28,14 @@
 // computed purely from that item's own rows, so any grouping (and any thread
 // count) produces bit-identical outputs.
 //
-// The plan also exploits two facts the generic per-worker layer chain
-// cannot see:
+// The plan also exploits two structural facts:
 //   * Dead input gradients — the backward pass stops at the model's FIRST
 //     parametric stage: every stage before it is parameter-free, so that
 //     stage's dX has no consumer. For a logistic/MLP front layer this removes
 //     the widest backward GEMM outright; for a conv front layer it removes
-//     the dCol product and the col2im scatter.
+//     the dCol product and the col2im scatter. The per-worker chain applies
+//     the same rule (Sequential::backward_into with a null grad_in, which
+//     Model::loss_and_gradient passes), so both paths skip the same work.
 //   * Direct input — when everything before the first parametric stage is a
 //     Flatten (a pure reshape), the executor never materializes the
 //     concatenated input tensor: dense/conv products read each item's own
@@ -55,6 +56,7 @@
 // engine then keeps the per-worker path for the whole run.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <span>
 #include <vector>
@@ -151,10 +153,14 @@ class CohortModel {
   std::size_t max_row_elems_ = 1;  // widest activation, elems per sample row
 
   // Per-run state. row_off_ holds global prefix sums of item batch sizes;
-  // tile slots (probe + activation scratch) are reused across runs.
+  // tile slots (probe + activation and gradient scratch) are reused across
+  // runs: every stage, pass stages included, writes its output into
+  // tile_acts_, and stage input gradients alternate between the slot's two
+  // tile_grads_ buffers.
   std::vector<std::size_t> row_off_;
   std::vector<std::unique_ptr<Model>> tile_probes_;
   std::vector<std::vector<Tensor>> tile_acts_;
+  std::vector<std::array<Tensor, 2>> tile_grads_;
 };
 
 }  // namespace hfl::nn

@@ -268,16 +268,16 @@ void Conv2d::backward_span(const Spec& s, const Scalar* weight,
   }
 }
 
-Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
+void Conv2d::forward_into(const Tensor& x, Tensor& out, bool train) {
   HFL_CHECK(x.rank() == 4 && x.dim(1) == in_ch_,
             "conv2d forward expects NCHW with C=" + std::to_string(in_ch_) +
                 ", got " + x.shape_string());
-  input_ = x;
   const std::size_t B = x.dim(0), H = x.dim(2), W = x.dim(3);
   HFL_CHECK(H + 2 * pad_ >= k_ && W + 2 * pad_ >= k_,
             "conv2d kernel larger than padded input");
   const std::size_t OH = H + 2 * pad_ - k_ + 1;
   const std::size_t OW = W + 2 * pad_ - k_ + 1;
+  if (train) input_ = x;  // owned copy; copy-assignment reuses the buffer
 
   if (obs::enabled()) {
     static obs::Counter& calls =
@@ -290,13 +290,14 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
               sizeof(Scalar));
   }
 
-  Tensor out({B, out_ch_, OH, OW});
+  // forward_span writes every output element (bias pre-fill, then beta = 1).
+  out.resize({B, out_ch_, OH, OW});
   forward_span(spec(), weight_.raw(), bias_.raw(), x, 0, B, out.raw(),
                /*mixed=*/false);
-  return out;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
+void Conv2d::backward_into(const Tensor& grad_out, Tensor* grad_in) {
+  HFL_CHECK(input_.rank() == 4, "conv2d backward before training forward");
   const std::size_t B = input_.dim(0), H = input_.dim(2), W = input_.dim(3);
   const std::size_t OH = H + 2 * pad_ - k_ + 1;
   const std::size_t OW = W + 2 * pad_ - k_ + 1;
@@ -311,17 +312,22 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     static obs::Counter& bytes =
         obs::Registry::global().counter("conv.im2col_bytes");
     calls.add();
-    // The backward pass rebuilds the im2col chunk and writes dCol of the
-    // same volume: 2 × kk × B·cols scalars.
-    bytes.add(static_cast<std::uint64_t>(2 * in_ch_ * k_ * k_ * B * OH * OW) *
+    // The backward pass rebuilds the im2col chunk and, unless dX is
+    // skipped, writes dCol of the same volume: kk × B·cols scalars each.
+    const std::uint64_t passes = grad_in != nullptr ? 2 : 1;
+    bytes.add(passes *
+              static_cast<std::uint64_t>(in_ch_ * k_ * k_ * B * OH * OW) *
               sizeof(Scalar));
   }
 
-  Tensor grad_in(input_.shape());
+  Scalar* gin = nullptr;
+  if (grad_in != nullptr) {
+    grad_in->resize(input_.shape());
+    grad_in->fill(0.0);  // col2im scatter-adds into it
+    gin = grad_in->raw();
+  }
   backward_span(spec(), weight_.raw(), input_, 0, B, grad_out.raw(),
-                grad_weight_.raw(), grad_bias_.raw(), grad_in.raw(),
-                /*mixed=*/false);
-  return grad_in;
+                grad_weight_.raw(), grad_bias_.raw(), gin, /*mixed=*/false);
 }
 
 }  // namespace hfl::nn

@@ -41,8 +41,8 @@ class Conv2d final : public Layer {
          std::size_t kernel, std::size_t padding);
 
   std::string kind() const override { return "conv2d"; }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_into(const Tensor& x, Tensor& out, bool train) override;
+  void backward_into(const Tensor& grad_out, Tensor* grad_in) override;
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
   void init_params(Rng& rng) override;

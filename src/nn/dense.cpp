@@ -5,6 +5,13 @@
 #include "src/tensor/tensor_ops.h"
 
 namespace hfl::nn {
+namespace {
+
+// dW product scratch, shared by every Dense on the thread: a member would
+// add an (out × in) buffer to every worker's model.
+thread_local Tensor tl_dw;
+
+}  // namespace
 
 Dense::Dense(std::size_t in_features, std::size_t out_features,
              InitScheme init)
@@ -31,31 +38,29 @@ void Dense::init_params(Rng& rng) {
   bias_.fill(0.0);
 }
 
-Tensor Dense::forward(const Tensor& x, bool /*train*/) {
+void Dense::forward_into(const Tensor& x, Tensor& out, bool train) {
   HFL_CHECK(x.rank() == 2 && x.dim(1) == in_,
             "dense forward expects (B, " + std::to_string(in_) + "), got " +
                 x.shape_string());
-  input_ = x;
-  Tensor out;
+  // Copied, never referenced: callers may reuse or reassign `x` before the
+  // backward pass. Copy-assignment reuses input_'s buffer.
+  if (train) input_ = x;
   ops::matmul_transpose_b(x, weight_, out);  // (B,in) * (out,in)^T -> (B,out)
   ops::add_row_bias(out, bias_);
-  return out;
 }
 
-Tensor Dense::backward(const Tensor& grad_out) {
+void Dense::backward_into(const Tensor& grad_out, Tensor* grad_in) {
   HFL_CHECK(grad_out.rank() == 2 && grad_out.dim(1) == out_,
             "dense backward shape mismatch");
-  // dW += grad_out^T * x : (out,B)*(B,in) -> (out,in)
-  Tensor dw;
-  ops::matmul_transpose_a(grad_out, input_, dw);
-  for (std::size_t i = 0; i < dw.size(); ++i) grad_weight_[i] += dw[i];
+  // dW += grad_out^T * x : (out,B)*(B,in) -> (out,in), via scratch so the
+  // product is summed into the accumulator after it is complete.
+  ops::matmul_transpose_a(grad_out, input_, tl_dw);
+  for (std::size_t i = 0; i < tl_dw.size(); ++i) grad_weight_[i] += tl_dw[i];
   // db += column sums of grad_out
   ops::sum_rows(grad_out, scratch_bias_);
   for (std::size_t i = 0; i < out_; ++i) grad_bias_[i] += scratch_bias_[i];
   // dx = grad_out * W : (B,out)*(out,in) -> (B,in)
-  Tensor grad_in;
-  ops::matmul(grad_out, weight_, grad_in);
-  return grad_in;
+  if (grad_in != nullptr) ops::matmul(grad_out, weight_, *grad_in);
 }
 
 }  // namespace hfl::nn

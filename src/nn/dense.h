@@ -23,8 +23,8 @@ class Dense final : public Layer {
         InitScheme init = InitScheme::kHe);
 
   std::string kind() const override { return "dense"; }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_into(const Tensor& x, Tensor& out, bool train) override;
+  void backward_into(const Tensor& grad_out, Tensor* grad_in) override;
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
   void init_params(Rng& rng) override;
@@ -37,7 +37,7 @@ class Dense final : public Layer {
   InitScheme init_;
   Tensor weight_, bias_;
   Tensor grad_weight_, grad_bias_;
-  Tensor input_;         // cached forward input
+  Tensor input_;         // owned copy of the last training input
   Tensor scratch_bias_;  // reused in backward
 };
 

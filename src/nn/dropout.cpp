@@ -8,27 +8,34 @@ Dropout::Dropout(Scalar rate) : rate_(rate) {
 
 void Dropout::init_params(Rng& rng) { rng_ = rng.fork(0xD60); }
 
-Tensor Dropout::forward(const Tensor& x, bool train) {
+void Dropout::forward_into(const Tensor& x, Tensor& out, bool train) {
   last_train_ = train && rate_ > 0.0;
-  if (!last_train_) return x;
+  if (!last_train_) {
+    out = x;  // copy-assignment reuses out's buffer
+    return;
+  }
   HFL_CHECK(rng_.has_value(), "dropout used before init_params");
   const Scalar keep = 1.0 - rate_;
   const Scalar scale = 1.0 / keep;
   mask_.resize(x.size());
-  Tensor out = x;
+  out.resize(x.shape());
   for (std::size_t i = 0; i < x.size(); ++i) {
     mask_[i] = rng_->uniform() < keep ? scale : 0.0;
-    out[i] *= mask_[i];
+    out[i] = x[i] * mask_[i];
   }
-  return out;
 }
 
-Tensor Dropout::backward(const Tensor& grad_out) {
-  if (!last_train_) return grad_out;
+void Dropout::backward_into(const Tensor& grad_out, Tensor* grad_in) {
+  if (grad_in == nullptr) return;
+  if (!last_train_) {
+    *grad_in = grad_out;
+    return;
+  }
   HFL_CHECK(grad_out.size() == mask_.size(), "dropout backward shape mismatch");
-  Tensor grad_in = grad_out;
-  for (std::size_t i = 0; i < grad_in.size(); ++i) grad_in[i] *= mask_[i];
-  return grad_in;
+  grad_in->resize(grad_out.shape());
+  for (std::size_t i = 0; i < grad_out.size(); ++i) {
+    (*grad_in)[i] = grad_out[i] * mask_[i];
+  }
 }
 
 }  // namespace hfl::nn

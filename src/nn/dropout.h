@@ -17,8 +17,8 @@ class Dropout final : public Layer {
   explicit Dropout(Scalar rate);
 
   std::string kind() const override { return "dropout"; }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_into(const Tensor& x, Tensor& out, bool train) override;
+  void backward_into(const Tensor& grad_out, Tensor* grad_in) override;
   void init_params(Rng& rng) override;
 
  private:

@@ -1,20 +1,23 @@
 #include "src/nn/flatten.h"
 
+#include <algorithm>
+
 namespace hfl::nn {
 
-Tensor Flatten::forward(const Tensor& x, bool /*train*/) {
+void Flatten::forward_into(const Tensor& x, Tensor& out, bool /*train*/) {
   HFL_CHECK(x.rank() >= 2, "flatten expects rank >= 2");
   in_shape_ = x.shape();
-  Tensor out = x;
-  out.reshape({x.dim(0), x.size() / x.dim(0)});
-  return out;
+  out.resize({x.dim(0), x.size() / x.dim(0)});
+  std::copy(x.data().begin(), x.data().end(), out.raw());
 }
 
-Tensor Flatten::backward(const Tensor& grad_out) {
+void Flatten::backward_into(const Tensor& grad_out, Tensor* grad_in) {
   HFL_CHECK(!in_shape_.empty(), "flatten backward before forward");
-  Tensor grad_in = grad_out;
-  grad_in.reshape(in_shape_);
-  return grad_in;
+  if (grad_in == nullptr) return;
+  HFL_CHECK(grad_out.size() == Tensor::shape_size(in_shape_),
+            "flatten backward shape mismatch");
+  grad_in->resize(in_shape_);
+  std::copy(grad_out.data().begin(), grad_out.data().end(), grad_in->raw());
 }
 
 }  // namespace hfl::nn

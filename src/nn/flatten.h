@@ -8,8 +8,8 @@ namespace hfl::nn {
 class Flatten final : public Layer {
  public:
   std::string kind() const override { return "flatten"; }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_into(const Tensor& x, Tensor& out, bool train) override;
+  void backward_into(const Tensor& grad_out, Tensor* grad_in) override;
 
  private:
   std::vector<std::size_t> in_shape_;

@@ -1,11 +1,32 @@
 // Layer interface for the manual-backprop neural-network substrate.
 //
-// Each layer is a stateful node: `forward` caches whatever it needs for the
-// matching `backward` call, and `backward` both returns the gradient with
-// respect to the layer input and accumulates gradients into the layer's
-// parameter-gradient tensors. Layers expose their parameters and gradients as
-// parallel lists of tensors so `Model` can flatten them into the single `Vec`
-// that the federated-learning algorithms operate on.
+// Each layer is a stateful node: a training forward pass caches whatever the
+// matching backward pass needs, and the backward pass accumulates gradients
+// into the layer's parameter-gradient tensors and (optionally) writes the
+// gradient with respect to the layer input. Layers expose their parameters
+// and gradients as parallel lists of tensors so `Model` can flatten them into
+// the single `Vec` that the federated-learning algorithms operate on.
+//
+// Buffer contract of the pass pair every layer implements:
+//   * forward_into(x, out, train) writes the output into the caller-owned
+//     `out`, which may hold any stale shape and contents: the layer gives it
+//     the right shape through Tensor::resize (no allocation once its
+//     capacity suffices) and overwrites every element. `out` must not alias
+//     `x`. The layer never keeps a pointer to `x`: activations a backward
+//     pass needs (a Dense/Conv2d/ReLU input, a Tanh/Sigmoid output) are
+//     copied into reused members, and only when `train` is true. An
+//     evaluation forward caches no activations, so backward is only valid
+//     after a training forward.
+//   * backward_into(grad_out, grad_in) accumulates parameter gradients and,
+//     when `grad_in` is non-null, writes d(loss)/d(input) into it under the
+//     same stale-buffer rules. `grad_in == nullptr` means "parameter
+//     gradients only": the caller has no consumer for the input gradient,
+//     so the layer skips computing it (Dense drops its dX product, Conv2d
+//     its dCol product and col2im). Parameter gradients are bit-identical
+//     either way.
+// The value-returning forward/backward are thin wrappers over the pass pair
+// for tests and one-off callers; hot paths (Sequential, Model, the cohort
+// executor) pass reused buffers.
 //
 // Thread-safety: a layer instance is owned by exactly one simulated worker;
 // no cross-thread sharing.
@@ -27,12 +48,26 @@ class Layer {
   // Human-readable layer kind ("dense", "conv2d", ...), for diagnostics.
   virtual std::string kind() const = 0;
 
-  // Forward pass. `train` enables training-only behaviour (dropout masks).
-  virtual Tensor forward(const Tensor& x, bool train) = 0;
+  // Forward pass into `out` (see the buffer contract above). `train`
+  // enables training-only behaviour (dropout masks, backward caches).
+  virtual void forward_into(const Tensor& x, Tensor& out, bool train) = 0;
 
-  // Backward pass for the most recent forward. Accumulates parameter
-  // gradients and returns d(loss)/d(input).
-  virtual Tensor backward(const Tensor& grad_out) = 0;
+  // Backward pass for the most recent training forward. Accumulates
+  // parameter gradients and, unless `grad_in` is null, writes
+  // d(loss)/d(input) into it.
+  virtual void backward_into(const Tensor& grad_out, Tensor* grad_in) = 0;
+
+  // Value forms of the pass pair: a fresh output per call.
+  Tensor forward(const Tensor& x, bool train) {
+    Tensor out;
+    forward_into(x, out, train);
+    return out;
+  }
+  Tensor backward(const Tensor& grad_out) {
+    Tensor grad_in;
+    backward_into(grad_out, &grad_in);
+    return grad_in;
+  }
 
   // Parameter tensors (empty for stateless layers). The grads list is
   // index-aligned with params.

@@ -63,9 +63,10 @@ void Model::get_grads(Vec& out) const {
 
 Scalar Model::forward_backward(const Tensor& x,
                                const std::vector<std::size_t>& labels) {
-  Tensor pred = net_->forward(x, /*train=*/true);
-  const Scalar loss = loss_->forward(pred, labels);
-  net_->backward(loss_->backward());
+  net_->forward_into(x, pred_, /*train=*/true);
+  const Scalar loss = loss_->forward(pred_, labels);
+  // Only parameter gradients are wanted: the input gradient is dead.
+  net_->backward_into(loss_->backward(), nullptr);
   return loss;
 }
 
@@ -86,14 +87,13 @@ Tensor Model::predict(const Tensor& x) {
 
 EvalResult Model::evaluate(const Tensor& x,
                            const std::vector<std::size_t>& labels) {
-  Tensor pred = predict(x);
+  net_->forward_into(x, pred_, /*train=*/false);
   EvalResult result;
-  result.loss = loss_->forward(pred, labels);
-  std::vector<std::size_t> argmax;
-  ops::argmax_rows(pred, argmax);
+  result.loss = loss_->forward(pred_, labels);
+  ops::argmax_rows(pred_, argmax_);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (argmax[i] == labels[i]) ++correct;
+    if (argmax_[i] == labels[i]) ++correct;
   }
   result.accuracy =
       labels.empty() ? 0.0

@@ -44,7 +44,8 @@ class Model {
   void get_grads(Vec& out) const;
 
   // Forward + backward on a batch, accumulating into the parameter grads.
-  // Returns the mean batch loss.
+  // Returns the mean batch loss. The backward pass computes parameter
+  // gradients only (Sequential::backward_into with a null grad_in).
   Scalar forward_backward(const Tensor& x,
                           const std::vector<std::size_t>& labels);
 
@@ -56,7 +57,8 @@ class Model {
   // Evaluation-mode forward pass.
   Tensor predict(const Tensor& x);
 
-  // Mean loss and top-1 accuracy over the given batch.
+  // Mean loss and top-1 accuracy over the given batch, through the
+  // network's evaluation-mode chain (two alternating activation buffers).
   EvalResult evaluate(const Tensor& x, const std::vector<std::size_t>& labels);
 
   // Structural access for the cohort executor (src/nn/cohort.cpp), which
@@ -71,6 +73,9 @@ class Model {
   std::vector<Tensor*> param_tensors_;
   std::vector<Tensor*> grad_tensors_;
   std::size_t total_params_ = 0;
+  // Reused across calls: the network output and evaluate's argmax.
+  Tensor pred_;
+  std::vector<std::size_t> argmax_;
 };
 
 // Builds a fresh, independently-owned model instance (identical architecture,

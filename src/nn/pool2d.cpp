@@ -15,11 +15,11 @@ MaxPool2d::MaxPool2d(std::size_t window) : window_(window) {
   HFL_CHECK(window_ > 0, "pool window must be positive");
 }
 
-Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/) {
+void MaxPool2d::forward_into(const Tensor& x, Tensor& out, bool /*train*/) {
   check_poolable(x, window_);
   const std::size_t B = x.dim(0), C = x.dim(1), H = x.dim(2), W = x.dim(3);
   const std::size_t OH = H / window_, OW = W / window_;
-  Tensor out({B, C, OH, OW});
+  out.resize({B, C, OH, OW});
   in_shape_ = x.shape();
   argmax_.resize(out.size());
 
@@ -46,29 +46,29 @@ Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/) {
       }
     }
   }
-  return out;
 }
 
-Tensor MaxPool2d::backward(const Tensor& grad_out) {
+void MaxPool2d::backward_into(const Tensor& grad_out, Tensor* grad_in) {
   HFL_CHECK(grad_out.size() == argmax_.size(),
             "maxpool backward called without matching forward");
-  Tensor grad_in(in_shape_);
-  Scalar* pgi = grad_in.raw();
+  if (grad_in == nullptr) return;
+  grad_in->resize(in_shape_);
+  grad_in->fill(0.0);
+  Scalar* pgi = grad_in->raw();
   const Scalar* pg = grad_out.raw();
   for (std::size_t o = 0; o < argmax_.size(); ++o) pgi[argmax_[o]] += pg[o];
-  return grad_in;
 }
 
 AvgPool2d::AvgPool2d(std::size_t window) : window_(window) {
   HFL_CHECK(window_ > 0, "pool window must be positive");
 }
 
-Tensor AvgPool2d::forward(const Tensor& x, bool /*train*/) {
+void AvgPool2d::forward_into(const Tensor& x, Tensor& out, bool /*train*/) {
   check_poolable(x, window_);
   const std::size_t B = x.dim(0), C = x.dim(1), H = x.dim(2), W = x.dim(3);
   const std::size_t OH = H / window_, OW = W / window_;
   in_shape_ = x.shape();
-  Tensor out({B, C, OH, OW});
+  out.resize({B, C, OH, OW});
   const Scalar inv = 1.0 / static_cast<Scalar>(window_ * window_);
 
   const Scalar* px = x.raw();
@@ -88,19 +88,20 @@ Tensor AvgPool2d::forward(const Tensor& x, bool /*train*/) {
       }
     }
   }
-  return out;
 }
 
-Tensor AvgPool2d::backward(const Tensor& grad_out) {
+void AvgPool2d::backward_into(const Tensor& grad_out, Tensor* grad_in) {
   HFL_CHECK(in_shape_.size() == 4, "avgpool backward before forward");
   const std::size_t H = in_shape_[2], W = in_shape_[3];
   const std::size_t OH = H / window_, OW = W / window_;
   HFL_CHECK(grad_out.rank() == 4 && grad_out.dim(2) == OH &&
                 grad_out.dim(3) == OW,
             "avgpool backward shape mismatch");
-  Tensor grad_in(in_shape_);
+  if (grad_in == nullptr) return;
+  grad_in->resize(in_shape_);
+  grad_in->fill(0.0);
   const Scalar inv = 1.0 / static_cast<Scalar>(window_ * window_);
-  Scalar* pgi = grad_in.raw();
+  Scalar* pgi = grad_in->raw();
   const Scalar* pg = grad_out.raw();
   const std::size_t BC = in_shape_[0] * in_shape_[1];
   std::size_t o = 0;
@@ -117,7 +118,6 @@ Tensor AvgPool2d::backward(const Tensor& grad_out) {
       }
     }
   }
-  return grad_in;
 }
 
 }  // namespace hfl::nn

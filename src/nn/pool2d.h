@@ -14,8 +14,8 @@ class MaxPool2d final : public Layer {
   explicit MaxPool2d(std::size_t window);
 
   std::string kind() const override { return "maxpool2d"; }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_into(const Tensor& x, Tensor& out, bool train) override;
+  void backward_into(const Tensor& grad_out, Tensor* grad_in) override;
 
  private:
   std::size_t window_;
@@ -28,8 +28,8 @@ class AvgPool2d final : public Layer {
   explicit AvgPool2d(std::size_t window);
 
   std::string kind() const override { return "avgpool2d"; }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_into(const Tensor& x, Tensor& out, bool train) override;
+  void backward_into(const Tensor& grad_out, Tensor* grad_in) override;
 
  private:
   std::size_t window_;

@@ -13,23 +13,32 @@ Residual::Residual(LayerPtr inner, LayerPtr shortcut)
   HFL_CHECK(inner_ != nullptr, "residual inner branch must not be null");
 }
 
-Tensor Residual::forward(const Tensor& x, bool train) {
-  Tensor branch = inner_->forward(x, train);
-  Tensor skip = shortcut_ ? shortcut_->forward(x, train) : x;
-  HFL_CHECK(branch.same_shape(skip),
+void Residual::forward_into(const Tensor& x, Tensor& out, bool train) {
+  inner_->forward_into(x, branch_, train);
+  const Tensor* skip = &x;
+  if (shortcut_) {
+    shortcut_->forward_into(x, skip_, train);
+    skip = &skip_;
+  }
+  HFL_CHECK(branch_.same_shape(*skip),
             "residual branch/shortcut shape mismatch: " +
-                branch.shape_string() + " vs " + skip.shape_string());
-  Tensor out;
-  ops::add(branch, skip, out);
-  return out;
+                branch_.shape_string() + " vs " + skip->shape_string());
+  ops::add(branch_, *skip, out);
 }
 
-Tensor Residual::backward(const Tensor& grad_out) {
-  Tensor grad_branch = inner_->backward(grad_out);
-  Tensor grad_skip = shortcut_ ? shortcut_->backward(grad_out) : grad_out;
-  Tensor grad_in;
-  ops::add(grad_branch, grad_skip, grad_in);
-  return grad_in;
+void Residual::backward_into(const Tensor& grad_out, Tensor* grad_in) {
+  if (grad_in == nullptr) {
+    inner_->backward_into(grad_out, nullptr);
+    if (shortcut_) shortcut_->backward_into(grad_out, nullptr);
+    return;
+  }
+  inner_->backward_into(grad_out, &grad_branch_);
+  const Tensor* grad_skip = &grad_out;
+  if (shortcut_) {
+    shortcut_->backward_into(grad_out, &grad_skip_);
+    grad_skip = &grad_skip_;
+  }
+  ops::add(grad_branch_, *grad_skip, *grad_in);
 }
 
 std::vector<Tensor*> Residual::params() {

@@ -18,8 +18,8 @@ class Residual final : public Layer {
   Residual(LayerPtr inner, LayerPtr shortcut);
 
   std::string kind() const override { return "residual"; }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_into(const Tensor& x, Tensor& out, bool train) override;
+  void backward_into(const Tensor& grad_out, Tensor* grad_in) override;
   std::vector<Tensor*> params() override;
   std::vector<Tensor*> grads() override;
   void init_params(Rng& rng) override;
@@ -27,6 +27,9 @@ class Residual final : public Layer {
  private:
   LayerPtr inner_;
   LayerPtr shortcut_;  // nullptr => identity
+  // Reused branch outputs and input gradients.
+  Tensor branch_, skip_;
+  Tensor grad_branch_, grad_skip_;
 };
 
 }  // namespace hfl::nn

@@ -5,6 +5,7 @@ namespace hfl::nn {
 void Sequential::add(LayerPtr layer) {
   HFL_CHECK(layer != nullptr, "cannot add null layer");
   layers_.push_back(std::move(layer));
+  bufs_.clear();
 }
 
 Layer& Sequential::layer(std::size_t i) {
@@ -12,18 +13,47 @@ Layer& Sequential::layer(std::size_t i) {
   return *layers_[i];
 }
 
-Tensor Sequential::forward(const Tensor& x, bool train) {
-  Tensor cur = x;
-  for (auto& l : layers_) cur = l->forward(cur, train);
-  return cur;
+void Sequential::prepare() {
+  if (!bufs_.empty()) return;
+  const std::size_t n = layers_.size();
+  bufs_.resize(2 * n + 2);
+  first_param_ = 0;
+  while (first_param_ < n && layers_[first_param_]->num_params() == 0) {
+    ++first_param_;
+  }
 }
 
-Tensor Sequential::backward(const Tensor& grad_out) {
-  Tensor cur = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    cur = (*it)->backward(cur);
+void Sequential::forward_into(const Tensor& x, Tensor& out, bool train) {
+  const std::size_t n = layers_.size();
+  if (n == 0) {
+    out = x;
+    return;
   }
-  return cur;
+  prepare();
+  const Tensor* in = &x;
+  for (std::size_t i = 0; i < n; ++i) {
+    Tensor& dst = i + 1 == n ? out : train ? bufs_[i] : bufs_[2 * n + i % 2];
+    layers_[i]->forward_into(*in, dst, train);
+    in = &dst;
+  }
+}
+
+void Sequential::backward_into(const Tensor& grad_out, Tensor* grad_in) {
+  const std::size_t n = layers_.size();
+  if (n == 0) {
+    if (grad_in != nullptr) *grad_in = grad_out;
+    return;
+  }
+  prepare();
+  // With no consumer for the chain's input gradient, layers before the
+  // first parametric one are skipped and that layer gets nullptr.
+  const std::size_t stop = grad_in != nullptr ? 0 : first_param_;
+  const Tensor* g = &grad_out;
+  for (std::size_t i = n; i-- > stop;) {
+    Tensor* dst = i == stop ? grad_in : &bufs_[n + i];
+    layers_[i]->backward_into(*g, dst);
+    g = dst;
+  }
 }
 
 std::vector<Tensor*> Sequential::params() {

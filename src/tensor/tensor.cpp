@@ -1,5 +1,6 @@
 #include "src/tensor/tensor.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace hfl {
@@ -54,6 +55,14 @@ void Tensor::reshape(std::vector<std::size_t> new_shape) {
   HFL_CHECK(shape_size(new_shape) == data_.size(),
             "reshape must preserve element count");
   shape_ = std::move(new_shape);
+}
+
+void Tensor::resize(std::span<const std::size_t> shape) {
+  // The equality test also makes resize(t.shape()) on itself safe.
+  if (!std::equal(shape.begin(), shape.end(), shape_.begin(), shape_.end())) {
+    shape_.assign(shape.begin(), shape.end());
+  }
+  data_.resize(shape_size(shape_));
 }
 
 void Tensor::fill(Scalar value) {

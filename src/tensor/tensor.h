@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <initializer_list>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,16 @@ class Tensor {
 
   // Reshape in place; total size must be preserved.
   void reshape(std::vector<std::size_t> new_shape);
+
+  // Give the tensor `shape`, reusing the buffer: memory is allocated only
+  // when the element count outgrows the capacity, so a tensor reused as an
+  // output across calls stops allocating once it has held its largest
+  // shape. Element values are unspecified afterwards — callers overwrite or
+  // fill every element.
+  void resize(std::span<const std::size_t> shape);
+  void resize(std::initializer_list<std::size_t> shape) {
+    resize(std::span<const std::size_t>(shape.begin(), shape.size()));
+  }
 
   // Set every element to `value`.
   void fill(Scalar value);

@@ -10,10 +10,6 @@ void check_rank2(const Tensor& t, const char* what) {
                                t.shape_string());
 }
 
-void ensure_shape(Tensor& t, std::size_t rows, std::size_t cols) {
-  if (t.rank() == 2 && t.dim(0) == rows && t.dim(1) == cols) return;
-  t = Tensor({rows, cols});
-}
 }  // namespace
 
 // All three variants lower onto the blocked GEMM in gemm.cpp; the transpose
@@ -25,7 +21,7 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& c) {
   check_rank2(b, "matmul b");
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   HFL_CHECK(b.dim(0) == k, "matmul inner dimensions mismatch");
-  ensure_shape(c, m, n);
+  c.resize({m, n});
   gemm(false, false, m, n, k, a.raw(), k, b.raw(), n, 0.0, c.raw(), n);
 }
 
@@ -34,7 +30,7 @@ void matmul_transpose_b(const Tensor& a, const Tensor& b, Tensor& c) {
   check_rank2(b, "matmul_transpose_b b");
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
   HFL_CHECK(b.dim(1) == k, "matmul_transpose_b inner dimensions mismatch");
-  ensure_shape(c, m, n);
+  c.resize({m, n});
   gemm(false, true, m, n, k, a.raw(), k, b.raw(), k, 0.0, c.raw(), n);
 }
 
@@ -43,7 +39,7 @@ void matmul_transpose_a(const Tensor& a, const Tensor& b, Tensor& c) {
   check_rank2(b, "matmul_transpose_a b");
   const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
   HFL_CHECK(b.dim(0) == k, "matmul_transpose_a inner dimensions mismatch");
-  ensure_shape(c, m, n);
+  c.resize({m, n});
   gemm(true, false, m, n, k, a.raw(), m, b.raw(), n, 0.0, c.raw(), n);
 }
 
@@ -61,7 +57,7 @@ void add_row_bias(Tensor& x, const Tensor& bias) {
 void sum_rows(const Tensor& x, Tensor& out) {
   check_rank2(x, "sum_rows x");
   const std::size_t m = x.dim(0), n = x.dim(1);
-  if (out.size() != n) out = Tensor({n});
+  out.resize({n});
   out.fill(0.0);
   const Scalar* px = x.raw();
   Scalar* po = out.raw();
@@ -92,7 +88,7 @@ void argmax_rows(const Tensor& x, std::vector<std::size_t>& out) {
 namespace {
 void elementwise_check(const Tensor& a, const Tensor& b, Tensor& out) {
   HFL_CHECK(a.same_shape(b), "elementwise shape mismatch");
-  if (!out.same_shape(a)) out = Tensor(a.shape());
+  out.resize(a.shape());
 }
 }  // namespace
 

@@ -30,6 +30,9 @@ class ScheduleSpy final : public Algorithm {
 
   std::string name() const override { return "spy"; }
   bool three_tier() const override { return true; }
+  // edge_sync appends to shared vectors, and the assertions below check the
+  // serial edge order, so the engine must walk edges one at a time.
+  bool edge_sync_reentrant() const override { return false; }
   void local_step(Context& ctx, WorkerState& w) override {
     (void)ctx;
     (void)w;

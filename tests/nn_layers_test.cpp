@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
 
 #include "src/nn/activations.h"
 #include "src/nn/conv2d.h"
@@ -12,6 +15,7 @@
 #include "src/nn/flatten.h"
 #include "src/nn/gradcheck.h"
 #include "src/nn/loss.h"
+#include "src/nn/models.h"
 #include "src/nn/pool2d.h"
 #include "src/nn/residual.h"
 #include "src/nn/sequential.h"
@@ -367,6 +371,253 @@ TEST(GradCheckTest, ResidualProjection) {
   net->emplace<Dense>(3 * 5 * 5, 3);
   const auto r = gradcheck_model(std::move(net), {1, 5, 5}, 3, 2, 19);
   EXPECT_LT(r.max_rel_error, 1e-4);
+}
+
+// --- Buffer-reusing pass pair -------------------------------------------
+//
+// forward_into/backward_into must produce exactly the bits of the value
+// forms, whatever the reused buffers held before: a stale shape, stale
+// contents, or NaN poison. Each case runs two instances of the same layer
+// side by side — one through the value forms, one through the pass pair with
+// buffers that are dirty and wrongly shaped on the first call and hold the
+// previous batch's results on the second — over two consecutive batch sizes.
+
+void expect_bits_eq(const Tensor& a, const Tensor& b, const std::string& what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  EXPECT_EQ(std::memcmp(a.raw(), b.raw(), a.size() * sizeof(Scalar)), 0)
+      << what;
+}
+
+Tensor poisoned(std::vector<std::size_t> shape) {
+  return Tensor::full(std::move(shape),
+                      std::numeric_limits<Scalar>::quiet_NaN());
+}
+
+struct PassCase {
+  std::string name;
+  std::function<LayerPtr()> make;
+  std::vector<std::size_t> sample_shape;  // without the batch dimension
+};
+
+std::vector<PassCase> pass_cases() {
+  std::vector<PassCase> cases;
+  cases.push_back({"dense", [] { return std::make_unique<Dense>(6, 4); }, {6}});
+  cases.push_back(
+      {"conv2d", [] { return std::make_unique<Conv2d>(2, 3, 3, 1); },
+       {2, 6, 6}});
+  cases.push_back(
+      {"conv2d_valid", [] { return std::make_unique<Conv2d>(1, 2, 3, 0); },
+       {1, 6, 6}});
+  cases.push_back(
+      {"maxpool", [] { return std::make_unique<MaxPool2d>(2); }, {2, 4, 4}});
+  cases.push_back(
+      {"avgpool", [] { return std::make_unique<AvgPool2d>(2); }, {2, 4, 4}});
+  cases.push_back({"relu", [] { return std::make_unique<ReLU>(); }, {7}});
+  cases.push_back({"tanh", [] { return std::make_unique<Tanh>(); }, {7}});
+  cases.push_back({"sigmoid", [] { return std::make_unique<Sigmoid>(); }, {7}});
+  cases.push_back(
+      {"dropout", [] { return std::make_unique<Dropout>(0.4); }, {9}});
+  cases.push_back(
+      {"flatten", [] { return std::make_unique<Flatten>(); }, {2, 3, 2}});
+  cases.push_back({"residual_identity",
+                   [] {
+                     auto inner = std::make_unique<Sequential>();
+                     inner->emplace<Conv2d>(2, 2, 3, 1);
+                     inner->emplace<ReLU>();
+                     return std::make_unique<Residual>(std::move(inner));
+                   },
+                   {2, 4, 4}});
+  cases.push_back({"residual_projection",
+                   [] {
+                     auto inner = std::make_unique<Sequential>();
+                     inner->emplace<Conv2d>(1, 3, 3, 1);
+                     return std::make_unique<Residual>(
+                         std::move(inner), std::make_unique<Conv2d>(1, 3, 1, 0));
+                   },
+                   {1, 4, 4}});
+  cases.push_back({"sequential",
+                   [] {
+                     auto seq = std::make_unique<Sequential>();
+                     seq->emplace<Conv2d>(1, 2, 3, 1);
+                     seq->emplace<ReLU>();
+                     seq->emplace<MaxPool2d>(2);
+                     seq->emplace<Dropout>(0.25);
+                     seq->emplace<Flatten>();
+                     seq->emplace<Dense>(2 * 2 * 2, 5);
+                     seq->emplace<Tanh>();
+                     seq->emplace<Dense>(5, 3);
+                     return seq;
+                   },
+                   {1, 4, 4}});
+  return cases;
+}
+
+TEST(PassPairTest, MatchesValueFormsWithDirtyReusedBuffers) {
+  for (const PassCase& c : pass_cases()) {
+    SCOPED_TRACE(c.name);
+    LayerPtr by_value = c.make();
+    LayerPtr by_into = c.make();
+    Rng init_a(21), init_b(21);
+    by_value->init_params(init_a);
+    by_into->init_params(init_b);
+
+    Tensor out = poisoned({3, 1, 2});  // wrong shape, NaN contents
+    Tensor grad_in = poisoned({1});
+    Tensor eval_out = poisoned({2, 2, 2, 2, 2});
+    Rng data(22);
+    for (const std::size_t batch : {std::size_t{4}, std::size_t{7}}) {
+      std::vector<std::size_t> shape{batch};
+      shape.insert(shape.end(), c.sample_shape.begin(), c.sample_shape.end());
+      const Tensor x = Tensor::randn(shape, data);
+
+      // Evaluation forward first: it must leave no trace in the training
+      // pass that follows.
+      by_into->forward_into(x, eval_out, /*train=*/false);
+      expect_bits_eq(by_value->forward(x, /*train=*/false), eval_out,
+                     "eval forward");
+
+      const Tensor y = by_value->forward(x, /*train=*/true);
+      by_into->forward_into(x, out, /*train=*/true);
+      expect_bits_eq(y, out, "train forward");
+
+      by_value->zero_grads();
+      by_into->zero_grads();
+      const Tensor g = Tensor::randn(y.shape(), data);
+      const Tensor gin = by_value->backward(g);
+      by_into->backward_into(g, &grad_in);
+      expect_bits_eq(gin, grad_in, "backward grad_in");
+      const auto ga = by_value->grads();
+      const auto gb = by_into->grads();
+      ASSERT_EQ(ga.size(), gb.size());
+      for (std::size_t i = 0; i < ga.size(); ++i) {
+        expect_bits_eq(*ga[i], *gb[i], "param grad " + std::to_string(i));
+      }
+    }
+  }
+}
+
+TEST(PassPairTest, NullGradInGivesIdenticalParamGradsForEveryLayer) {
+  for (const PassCase& c : pass_cases()) {
+    SCOPED_TRACE(c.name);
+    LayerPtr full = c.make();
+    LayerPtr params_only = c.make();
+    Rng init_a(23), init_b(23);
+    full->init_params(init_a);
+    params_only->init_params(init_b);
+    Rng data(24);
+    std::vector<std::size_t> shape{5};
+    shape.insert(shape.end(), c.sample_shape.begin(), c.sample_shape.end());
+    const Tensor x = Tensor::randn(shape, data);
+    const Tensor y = full->forward(x, /*train=*/true);
+    params_only->forward(x, /*train=*/true);
+    const Tensor g = Tensor::randn(y.shape(), data);
+    full->zero_grads();
+    params_only->zero_grads();
+    full->backward(g);
+    params_only->backward_into(g, nullptr);
+    const auto ga = full->grads();
+    const auto gb = params_only->grads();
+    ASSERT_EQ(ga.size(), gb.size());
+    for (std::size_t i = 0; i < ga.size(); ++i) {
+      expect_bits_eq(*ga[i], *gb[i], "param grad " + std::to_string(i));
+    }
+  }
+}
+
+// Model-level dead-dX rule: loss_and_gradient (which passes a null grad_in
+// and stops at the first parametric layer) must return exactly the gradient
+// of a full value-form backward through the same network.
+TEST(PassPairTest, NullGradInMatchesFullBackwardOnModelFactories) {
+  const std::vector<std::size_t> img{1, 8, 8};
+  const std::vector<std::pair<std::string, ModelFactory>> factories{
+      {"logistic", logistic_regression(img, 4)},
+      {"mlp", mlp(img, 6, 4)},
+      {"cnn", cnn(img, 4)},
+  };
+  for (const auto& [name, factory] : factories) {
+    SCOPED_TRACE(name);
+    auto fast = factory();
+    auto full = factory();
+    Rng init(25);
+    fast->init_params(init);
+    const Vec params = fast->get_params();
+    Rng data(26);
+    for (const std::size_t batch : {std::size_t{16}, std::size_t{5}}) {
+      const Tensor x = Tensor::randn({batch, 1, 8, 8}, data);
+      std::vector<std::size_t> labels(batch);
+      for (auto& l : labels) l = data.uniform_index(4);
+
+      Vec grad_fast;
+      const Scalar loss_fast =
+          fast->loss_and_gradient(params, x, labels, grad_fast);
+
+      // Reference: the same network driven layer by layer through the value
+      // forms, computing every input gradient.
+      full->set_params(params);
+      full->zero_grads();
+      Sequential& net = full->net();
+      Tensor a = x;
+      for (std::size_t l = 0; l < net.num_layers(); ++l) {
+        a = net.layer(l).forward(a, /*train=*/true);
+      }
+      SoftmaxCrossEntropy loss;
+      const Scalar loss_full = loss.forward(a, labels);
+      Tensor g = loss.backward();
+      for (std::size_t l = net.num_layers(); l-- > 0;) {
+        g = net.layer(l).backward(g);
+      }
+      Vec grad_full;
+      full->get_grads(grad_full);
+
+      EXPECT_EQ(std::memcmp(&loss_fast, &loss_full, sizeof(Scalar)), 0);
+      ASSERT_EQ(grad_fast.size(), grad_full.size());
+      EXPECT_EQ(std::memcmp(grad_fast.data(), grad_full.data(),
+                            grad_fast.size() * sizeof(Scalar)),
+                0);
+
+      // Sequential level: backward_into(g, nullptr) vs a full backward.
+      full->zero_grads();
+      Tensor pred;
+      net.forward_into(x, pred, /*train=*/true);
+      loss.forward(pred, labels);
+      const Tensor gl = loss.backward();
+      Tensor gin;
+      net.backward_into(gl, &gin);
+      EXPECT_EQ(gin.shape(), x.shape());
+      Vec grad_seq_full;
+      full->get_grads(grad_seq_full);
+      full->zero_grads();
+      net.forward_into(x, pred, /*train=*/true);
+      net.backward_into(gl, nullptr);
+      Vec grad_seq_null;
+      full->get_grads(grad_seq_null);
+      EXPECT_EQ(std::memcmp(grad_seq_full.data(), grad_seq_null.data(),
+                            grad_seq_full.size() * sizeof(Scalar)),
+                0);
+      EXPECT_EQ(std::memcmp(grad_seq_full.data(), grad_full.data(),
+                            grad_full.size() * sizeof(Scalar)),
+                0);
+    }
+  }
+}
+
+// evaluate runs the evaluation-mode chain; it must agree bit for bit with a
+// value-form predict and a fresh loss on the same batch.
+TEST(PassPairTest, EvaluateMatchesValueFormPredict) {
+  auto model = cnn({1, 8, 8}, 4)();
+  Rng init(27);
+  model->init_params(init);
+  Rng data(28);
+  for (const std::size_t batch : {std::size_t{9}, std::size_t{3}}) {
+    const Tensor x = Tensor::randn({batch, 1, 8, 8}, data);
+    std::vector<std::size_t> labels(batch);
+    for (auto& l : labels) l = data.uniform_index(4);
+    const EvalResult r = model->evaluate(x, labels);
+    const Tensor pred = model->predict(x);
+    SoftmaxCrossEntropy loss;
+    const Scalar expected = loss.forward(pred, labels);
+    EXPECT_EQ(std::memcmp(&r.loss, &expected, sizeof(Scalar)), 0);
+  }
 }
 
 }  // namespace

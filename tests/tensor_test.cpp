@@ -45,6 +45,21 @@ TEST(TensorTest, ReshapePreservesData) {
   EXPECT_THROW(t.reshape({4, 2}), Error);
 }
 
+TEST(TensorTest, ResizeReusesBufferAcrossShapes) {
+  Tensor t({4, 8});
+  const Scalar* buf = t.raw();
+  t.resize({2, 3, 5});  // smaller: same buffer, new shape
+  EXPECT_EQ(t.shape(), (std::vector<std::size_t>{2, 3, 5}));
+  EXPECT_EQ(t.size(), 30u);
+  EXPECT_EQ(t.raw(), buf);
+  t.resize({32});  // back up to the largest size seen: still no reallocation
+  EXPECT_EQ(t.raw(), buf);
+  t.resize(t.shape());  // a tensor's own shape is a valid argument
+  EXPECT_EQ(t.shape(), (std::vector<std::size_t>{32}));
+  t.resize({9, 9});  // outgrows the capacity
+  EXPECT_EQ(t.size(), 81u);
+}
+
 TEST(TensorTest, FullFillsValue) {
   Tensor t = Tensor::full({3}, 2.5);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(t[i], 2.5);

@@ -68,6 +68,28 @@ TEST(ThreadPoolTest, PropagatesExceptions) {
   EXPECT_EQ(count.load(), 8);
 }
 
+TEST(ThreadPoolTest, ManyTinyBackToBackCallsComplete) {
+  // Regression for the completion handshake: parallel_for's shared state
+  // lives on the caller's stack, so the last block must not touch it after
+  // the caller may have returned. Many tiny calls issued back to back make
+  // the caller's return race the last block's notify; ASan/TSan builds turn
+  // a use-after-scope into a hard failure.
+  ThreadPool pool(4);
+  std::vector<int> out(8);
+  long long total = 0;
+  for (std::size_t call = 0; call < 100000; ++call) {
+    const std::size_t n = 2 + call % 7;  // 2..8
+    pool.parallel_for(n, [&](std::size_t i) { out[i] = static_cast<int>(i); });
+    for (std::size_t i = 0; i < n; ++i) total += out[i];
+  }
+  long long expected = 0;
+  for (std::size_t call = 0; call < 100000; ++call) {
+    const long long n = 2 + static_cast<long long>(call % 7);
+    expected += n * (n - 1) / 2;
+  }
+  EXPECT_EQ(total, expected);
+}
+
 TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   // A parallel_for issued from inside one of the pool's own tasks must not
   // enqueue onto the shared queue (the workers could all be blocked waiting
