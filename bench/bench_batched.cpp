@@ -16,18 +16,14 @@
 // the median per-mode time is reported, so slow machine drift (shared hosts)
 // cancels instead of biasing whichever mode ran last.
 //
-// PR-4 baseline: set HFL_PR4_BASELINE="logistic=<ms>,mlp=<ms>,cnn=<ms>" to
-// per-round times measured on the pre-batched tree (see EXPERIMENTS.md for
-// the worktree recipe); the JSON then also records speedup_vs_pr4. Without
-// the env var those fields are omitted and the in-build per-worker path is
-// the only baseline — for dense models it is the same code as PR 4, for conv
-// models it is strictly FASTER than PR 4 (the layer now calls the batched
-// spans), so speedup_batched understates the gain over PR 4.
+// Baseline: the in-build per-worker path is the only one — for dense models
+// it is the same code as the pre-batched engine, for conv models it is
+// strictly faster (the layer now calls the batched spans), so
+// speedup_batched understates the gain over the pre-batched engine.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,22 +75,6 @@ struct Workload {
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
-}
-
-// Per-round ms for `model` from HFL_PR4_BASELINE ("logistic=3.2,cnn=41.7"),
-// or 0 when unset / not listed.
-double pr4_baseline_ms(const std::string& model) {
-  const char* env = std::getenv("HFL_PR4_BASELINE");
-  if (env == nullptr) return 0.0;
-  const std::string s(env);
-  const std::string key = model + "=";
-  std::size_t pos = s.find(key);
-  while (pos != std::string::npos && pos > 0 &&
-         s[pos - 1] != ',' && s[pos - 1] != ' ') {
-    pos = s.find(key, pos + 1);  // "mlp=" must not match inside "xmlp="
-  }
-  if (pos == std::string::npos) return 0.0;
-  return std::atof(s.c_str() + pos + key.size());
 }
 
 }  // namespace
@@ -175,7 +155,6 @@ int main() {
                                             r_mix.final_params);
 
     const double per_round = 1000.0 / static_cast<double>(wl.iters);
-    const double pr4_ms = pr4_baseline_ms(wl.model);
     std::printf(
         "%-9s per-worker %.3fs  batched %.3fs (%.2fx)  mixed %.3fs (%.2fx)\n"
         "          round: %.2f / %.2f / %.2f ms   fp64 bit-identical: yes, "
@@ -184,12 +163,6 @@ int main() {
         mixed_s, per_worker_s / mixed_s, per_worker_s * per_round,
         batched_s * per_round, mixed_s * per_round,
         static_cast<double>(mixed_drift));
-    if (pr4_ms > 0) {
-      std::printf("          vs PR-4 baseline %.2f ms/round: batched %.2fx, "
-                  "mixed %.2fx\n",
-                  pr4_ms, pr4_ms / (batched_s * per_round),
-                  pr4_ms / (mixed_s * per_round));
-    }
     std::fprintf(
         json,
         "    {\"model\": \"%s\", \"algorithm\": \"HierAdMo\", \"T\": %zu,\n"
@@ -201,13 +174,6 @@ int main() {
         wl.model.c_str(), wl.iters, per_worker_s, batched_s, mixed_s,
         per_worker_s * per_round, batched_s * per_round, mixed_s * per_round,
         per_worker_s / batched_s, per_worker_s / mixed_s);
-    if (pr4_ms > 0) {
-      std::fprintf(json,
-                   "     \"pr4_round_ms\": %.3f, \"speedup_vs_pr4\": {"
-                   "\"batched\": %.3f, \"mixed\": %.3f},\n",
-                   pr4_ms, pr4_ms / (batched_s * per_round),
-                   pr4_ms / (mixed_s * per_round));
-    }
     std::fprintf(
         json,
         "     \"fp64_bit_identical\": true, \"mixed_max_drift\": %.3e}%s\n",

@@ -3,9 +3,9 @@
 #
 #   1. Release build + full ctest suite (tier-1), which includes the
 #      bench_smoke-labelled bench binaries at 0.1 scale — each asserts its
-#      internal bitwise contract (fused kernel ≡ fma reference, sparse
-#      roster ≡ dense rebuild, batched ≡ per-worker) before timing — then
-#      the concurrency subset repeated until failure (20 runs).
+#      internal contract (fused kernel ≡ fma reference, batched ≡
+#      per-worker) before timing — then the named parity gate and the
+#      concurrency subset repeated until failure (20 runs).
 #   2. ASan+UBSan pass: full suite + telemetry-enabled example in an
 #      instrumented tree (reports are fatal).
 #
@@ -26,12 +26,15 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DHFL_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-# The event-engine contracts gate merges by name (they are part of the full
-# suite above; the explicit invocation keeps a red bisect pointed at them):
-# sync bit-identity to fl::Engine, causal download versioning (no retroactive
-# refresh), and charge-exactly-once comm accounting.
+# The parity contracts gate merges by name (they are part of the full suite
+# above; the explicit invocation keeps a red bisect pointed at them): sync
+# bit-identity to fl::Engine, causal download versioning (no retroactive
+# refresh) and charge-exactly-once comm accounting; FaultPlan ≡
+# SparseFaultPlan and fault-trace determinism; the one roster builder
+# against a naive renormalization and the schedule's miss counts;
+# virtualized ≡ dense runs; parallel ≡ serial sync.
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R '^(async_engine_test|evt_versioning_test)$'
+  -R '^(async_engine_test|evt_versioning_test|pop_test|pop_parity_test|param_plane_test|sim_test|parallel_sync_test)$'
 
 # Concurrency repeat gate: the multi-threaded tests again, 20 times each,
 # stopping at the first failure. A scheduling race that fails one run in

@@ -192,7 +192,7 @@ DownloadMsg diff_pushdown(const fl::WorkerState& ws, const PushBase& base,
 struct EvtRun {
   fl::RunState rs;
   EventQueue q;
-  std::unique_ptr<fl::Participation> mpart;  // manual-roster view
+  std::unique_ptr<fl::Participation> mpart;  // per-aggregation roster view
   const sim::FaultPlan* plan = nullptr;
   const fl::ParticipationSchedule* schedule = nullptr;  // null = fault-free
   bool three_tier = true;
@@ -256,8 +256,11 @@ struct EvtRun {
   std::size_t downloads_superseded = 0;
   Scalar overlap_s = 0;
 
-  // Roster scratch reused across aggregations.
-  std::vector<std::uint8_t> roster_w, roster_e;
+  // Roster scratch reused across aggregations: the admitted ids
+  // (ascending — inboxes coalesce per worker and are sorted), their up
+  // bits and staleness weights, and the edge roster.
+  std::vector<fl::WorkerId> roster_ids;
+  std::vector<std::uint8_t> roster_up, roster_e;
   std::vector<Scalar> scale;
 };
 
@@ -284,142 +287,23 @@ fl::RunResult AsyncEngine::run(fl::Algorithm& alg, const sim::FaultPlan* plan) {
 }
 
 // ---------------------------------------------------------------------------
-// Sync policy: the barrier schedule replayed as events.
-//
-// The whole timetable is known up front (logical time = iteration index), so
-// every event is pushed before the first pop and the (time, seq) order of the
-// queue reproduces fl::Engine::run's statement order exactly: local steps,
-// edge barrier, cloud round, evaluation, interval tail. Each handler calls
-// the corresponding private piece of fl::Engine on the shared RunState, which
-// is what makes this policy bit-identical to fl::Engine by construction —
-// same calls, same order, same state. Modeled time is stamped afterwards from
-// a net::TimeSimulator barrier replay (additive: iteration/loss/accuracy and
-// all engine.* counters are untouched).
+// Sync policy: fl::Engine's barrier schedule itself, so it is bit-identical
+// to fl::Engine by construction. Modeled time is stamped afterwards from a
+// net::TimeSimulator barrier replay of the same run (additive: iteration,
+// loss, accuracy and all engine.* counters are untouched).
 // ---------------------------------------------------------------------------
 fl::RunResult AsyncEngine::run_sync(fl::Algorithm& alg,
                                     const sim::FaultPlan* plan) {
-  const obs::Span run_span("run:" + alg.name(), "evt");
-  const fl::ParticipationSchedule* schedule =
-      plan != nullptr ? &plan->schedule() : nullptr;
-
-  // Virtualized populations ride through the same pieces fl::Engine uses:
-  // replay the dense schedule through the oracle adapter and mirror
-  // begin_virtual_interval at each interval head.
-  const bool virt = engine_.provider_ != nullptr;
-  std::unique_ptr<fl::ScheduleOracle> oracle_storage;
-  const fl::AvailabilityOracle* oracle = nullptr;
-  if (virt && schedule != nullptr && !schedule->is_noop()) {
-    schedule->validate(engine_.topo_, engine_.cfg_);
-    oracle_storage = std::make_unique<fl::ScheduleOracle>(*schedule);
-    oracle = oracle_storage.get();
-  }
-
-  fl::RunState rs;
-  engine_.prepare_run(alg, virt ? nullptr : schedule, oracle, rs);
-  engine_.record_point(rs, 0, rs.cloud.x);
-
-  const fl::RunConfig& cfg = engine_.cfg_;
-  const std::size_t global_period = cfg.tau * cfg.pi;
-
-  // Availability flips, grouped by the interval they take effect in.
-  std::vector<std::vector<sim::FaultTransition>> flips;
-  if (schedule != nullptr && !schedule->is_noop()) {
-    flips.resize(cfg.total_iterations / cfg.tau + 1);
-    for (const sim::FaultTransition& tr : sim::fault_transitions(*schedule)) {
-      if (tr.interval < flips.size()) flips[tr.interval].push_back(tr);
-    }
-  }
-
-  EventQueue q;
-  for (std::size_t t = 1; t <= cfg.total_iterations; ++t) {
-    const Scalar time = static_cast<Scalar>(t);
-    const bool sync_point = t % cfg.tau == 0;
-    const bool cloud_point = t % global_period == 0;
-    if ((t - 1) % cfg.tau == 0) {
-      // Interval k's availability flips land just before its first local
-      // step (the push order IS the tie-break).
-      const std::size_t k = (t - 1) / cfg.tau + 1;
-      if (k < flips.size()) {
-        for (const sim::FaultTransition& tr : flips[k]) {
-          q.push({time, 0, EventType::kFault, tr.id, tr.interval, tr.up,
-                  tr.is_edge});
-        }
-      }
-    }
-    // The barrier collapses the fleet's worker-ready events into one per
-    // iteration: under sync semantics every worker steps at the same instant
-    // and the engine's (deterministically parallel) dispatch IS that event.
-    q.push({time, 0, EventType::kWorkerReady, 0, t, false, false});
-    if (alg.three_tier() && sync_point) {
-      q.push({time, 0, EventType::kEdgeSync, 0, t / cfg.tau, false, false});
-    }
-    if (cloud_point) {
-      q.push({time, 0, EventType::kCloudSync, 0, t / global_period, false,
-              false});
-    }
-    if (sync_point || cloud_point ||
-        (cfg.eval_every != 0 && t % cfg.eval_every == 0)) {
-      q.push({time, 0, EventType::kEval, 0, t, false, false});
-    }
-  }
-
-  obs::Registry& reg = obs::Registry::global();
-  while (!q.empty()) {
-    const Event ev = q.pop();
-    const std::size_t t = ev.round;
-    switch (ev.type) {
-      case EventType::kFault:
-        if (obs::enabled()) reg.counter("evt.fault.transitions").add();
-        break;
-      case EventType::kWorkerReady:
-        rs.ctx.t = t;
-        if ((t - 1) % cfg.tau == 0) {
-          const std::size_t k = (t - 1) / cfg.tau + 1;
-          if (virt) {
-            if (k > 1) {
-              engine_.begin_virtual_interval(alg, rs, k, oracle, false);
-            }
-          } else if (rs.part) {
-            rs.part->begin_interval(k);
-          }
-        }
-        engine_.run_local_steps(alg, rs);
-        break;
-      case EventType::kEdgeSync:
-        engine_.run_edge_syncs(alg, rs, t);
-        if (obs::enabled()) reg.counter("evt.edge_syncs", "policy=sync").add();
-        break;
-      case EventType::kCloudSync:
-        engine_.run_cloud_sync(alg, rs, t);
-        if (obs::enabled()) reg.counter("evt.cloud_syncs", "policy=sync").add();
-        break;
-      case EventType::kEval:
-        if (t % global_period == 0) {
-          engine_.record_point(rs, t, rs.cloud.x);
-        } else if (cfg.eval_every != 0 && t % cfg.eval_every == 0) {
-          fl::aggregate_global(rs.workers, fl::worker_x, rs.avg_scratch,
-                               nullptr, engine_.pool_.get());
-          engine_.record_point(rs, t, rs.avg_scratch);
-        }
-        if (t % cfg.tau == 0) engine_.finish_interval(alg, rs, t / cfg.tau);
-        break;
-      case EventType::kWorkerUpload:
-      case EventType::kWorkerDownload:
-        break;  // event-driven policies only
-    }
-  }
-
-  engine_.finalize_run(alg, rs);
-
-  // Stamp modeled wall-clock time from the barrier replay of this exact run.
+  fl::RunResult result =
+      engine_.run(alg, plan != nullptr ? &plan->schedule() : nullptr);
   net::TimeSimConfig tsim = sim_;
   tsim.fault_plan = plan;
-  const net::TimeSimulator ts(engine_.topo_, cfg, tsim);
-  for (fl::MetricPoint& p : rs.result.curve) {
+  const net::TimeSimulator ts(engine_.topo_, engine_.cfg_, tsim);
+  for (fl::MetricPoint& p : result.curve) {
     p.sim_time = ts.time_at_iteration(p.iteration);
   }
-  rs.result.sim_seconds = ts.total_time();
-  return rs.result;
+  result.sim_seconds = ts.total_time();
+  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -797,23 +681,25 @@ void AsyncEngine::edge_cohort_sync(fl::Algorithm& alg, EvtRun& er,
 
     // Roster + staleness weights (s multiplies the data-size mass before the
     // per-edge renormalization inside Participation).
-    er.roster_w.assign(rs.workers.size(), 0);
-    er.roster_e.assign(rs.edges.size(), 0);
-    er.roster_e[e] = 1;
-    er.scale.assign(rs.workers.size(), 1.0);
+    er.roster_ids.clear();
+    er.scale.clear();
     Scalar alpha = 0;
     for (const std::size_t i : admitted) {
       const std::size_t w = cohort[i].w;
       const std::size_t tau = k_agg - 1 - cohort[i].snap.download_version;
       const Scalar s = staleness_weight(cfg_.staleness_decay, tau);
-      er.roster_w[w] = 1;
-      er.scale[w] = s;
+      er.roster_ids.push_back(static_cast<fl::WorkerId>(w));
+      er.scale.push_back(s);
       alpha += rs.workers[w].weight_in_edge * s;
       ++er.admitted;
       er.tau_sum += static_cast<Scalar>(tau);
       er.max_tau = std::max(er.max_tau, tau);
     }
-    er.mpart->set_roster(er.roster_w, er.roster_e, &er.scale);
+    er.roster_up.assign(er.roster_ids.size(), 1);
+    er.roster_e.assign(rs.edges.size(), 0);
+    er.roster_e[e] = 1;
+    er.mpart->set_cohort_roster(er.roster_ids, er.roster_up, er.roster_e,
+                                &er.scale);
     rs.ctx.part = er.mpart.get();
 
     // The aggregation reads the uploaded snapshots, not the live in-flight
@@ -1020,22 +906,24 @@ void AsyncEngine::cloud_cohort_sync(fl::Algorithm& alg, EvtRun& er,
     const std::size_t p = ++er.cloud_version;
     refresh_version = p;
 
-    er.roster_w.assign(rs.workers.size(), 0);
-    er.roster_e.assign(rs.edges.size(), 1);
-    er.scale.assign(rs.workers.size(), 1.0);
+    er.roster_ids.clear();
+    er.scale.clear();
     Scalar alpha = 0;
     for (const std::size_t i : admitted) {
       const std::size_t w = cohort[i].w;
       const std::size_t tau = p - 1 - cohort[i].snap.download_version;
       const Scalar s = staleness_weight(cfg_.staleness_decay, tau);
-      er.roster_w[w] = 1;
-      er.scale[w] = s;
+      er.roster_ids.push_back(static_cast<fl::WorkerId>(w));
+      er.scale.push_back(s);
       alpha += rs.workers[w].weight_global * s;
       ++er.admitted;
       er.tau_sum += static_cast<Scalar>(tau);
       er.max_tau = std::max(er.max_tau, tau);
     }
-    er.mpart->set_roster(er.roster_w, er.roster_e, &er.scale);
+    er.roster_up.assign(er.roster_ids.size(), 1);
+    er.roster_e.assign(rs.edges.size(), 1);
+    er.mpart->set_cohort_roster(er.roster_ids, er.roster_up, er.roster_e,
+                                &er.scale);
     rs.ctx.part = er.mpart.get();
 
     std::vector<PushBase> bases(admitted.size());
@@ -1092,10 +980,6 @@ void AsyncEngine::cloud_cohort_sync(fl::Algorithm& alg, EvtRun& er,
 fl::RunResult AsyncEngine::run_event_driven(fl::Algorithm& alg,
                                             const sim::FaultPlan* plan) {
   const obs::Span run_span("run:" + alg.name(), "evt");
-  HFL_CHECK(engine_.provider_ == nullptr,
-            "virtualized populations support only the sync policy: "
-            "semi-async/async aggregation mutates arbitrary workers between "
-            "cohort boundaries");
 
   EvtRun er;
   er.plan = plan;
@@ -1110,13 +994,13 @@ fl::RunResult AsyncEngine::run_event_driven(fl::Algorithm& alg,
   fl::RunState& rs = er.rs;
   // Training state exactly as the barrier engine would build it (same seed →
   // same initial point, same batch streams); ctx.part stays null outside
-  // aggregation/absence windows, where the manual roster is swapped in.
-  engine_.prepare_run(alg, nullptr, nullptr, rs);
+  // aggregation/absence windows, where the aggregation roster is swapped in.
+  engine_.prepare_run(alg, nullptr, rs);
 
   const std::size_t W = engine_.topo_.num_workers();
   const std::size_t E = engine_.topo_.num_edges();
-  er.mpart = std::make_unique<fl::Participation>(engine_.topo_, rs.workers,
-                                                 er.three_tier);
+  er.mpart = std::make_unique<fl::Participation>(
+      engine_.topo_, engine_.base_weights(), er.three_tier);
   if (er.schedule != nullptr) {
     er.mpart->set_absent_policy(er.schedule->absent_policy,
                                 er.schedule->absent_decay);
@@ -1228,8 +1112,6 @@ fl::RunResult AsyncEngine::run_event_driven(fl::Algorithm& alg,
       case EventType::kFault:
         if (obs::enabled()) reg.counter("evt.fault.transitions").add();
         break;
-      case EventType::kEval:
-        break;  // unused by the event-driven policies
     }
   }
 

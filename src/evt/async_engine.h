@@ -4,10 +4,9 @@
 //
 // Three execution policies, selected by RunConfig::policy:
 //
-//   * sync — the paper's barrier schedule reproduced as events. Built from
-//     the same per-step pieces as fl::Engine (friend access to its helpers),
-//     so curves, final parameters and engine obs counters are bit-identical
-//     to fl::Engine for every registry algorithm at any thread count — the
+//   * sync — the paper's barrier schedule: fl::Engine::run itself, so
+//     curves, final parameters and engine obs counters are bit-identical to
+//     fl::Engine for every registry algorithm at any thread count — the
 //     degenerate correctness anchor, asserted by tests/async_engine_test.cpp.
 //     On top, every curve point is stamped with the modeled wall-clock time
 //     of the barrier replay (net::TimeSimulator over the same TimeSimConfig).
@@ -31,7 +30,7 @@
 // barely moves the tier. Updates with τ > max_staleness are dropped and the
 // sender force-refreshed. Algorithm::stale_sync runs for every admitted
 // stale update before the aggregation. All of this happens at the engine
-// level through the manual roster mode of fl::Participation, so every
+// level through fl::Participation rosters composed per aggregation, so every
 // registry algorithm participates without async-specific code.
 //
 // Causal model propagation (semi_async and async): communication is explicit

@@ -1,4 +1,6 @@
-// Event vocabulary of the discrete-event engine (DESIGN.md §12).
+// Event vocabulary of the discrete-event engine (DESIGN.md §12), used by
+// the event-driven policies (semi_async / async); the sync policy runs
+// fl::Engine's barrier loop directly and pushes no events.
 //
 // Simulated time is the execution order: every state mutation of an
 // event-driven run happens inside the handler of one of these events, and
@@ -15,12 +17,11 @@
 namespace hfl::evt {
 
 enum class EventType : std::uint8_t {
-  // A worker finishes one interval of local work. Sync policy: the
-  // interval's upload rides along (monolithic barrier step). Event-driven
-  // policies: compute only — the τ local steps execute lazily inside this
-  // handler on exactly the model the worker last downloaded, the upload is
-  // snapshotted here and travels as a separate kWorkerUpload event so the
-  // next interval's compute overlaps the transfer.
+  // A worker finishes one interval of local work: compute only — the τ
+  // local steps execute lazily inside this handler on exactly the model the
+  // worker last downloaded, the upload is snapshotted here and travels as a
+  // separate kWorkerUpload event so the next interval's compute overlaps
+  // the transfer.
   kWorkerReady,
   // A worker's in-flight upload (snapshotted at its kWorkerReady) lands at
   // its aggregator — the edge in three-tier runs, the cloud in two-tier
@@ -32,20 +33,16 @@ enum class EventType : std::uint8_t {
   // boundary; an older message never overwrites a newer one, so each
   // worker's download_version is monotone.
   kWorkerDownload,
-  // An edge aggregation point: the barrier instant (sync policy) or a
-  // semi-async admission deadline expiring at one edge.
+  // A semi-async admission deadline expiring at one edge.
   kEdgeSync,
-  // A cloud aggregation point: the barrier instant, an edge's update
-  // arriving at the cloud (three-tier), or a two-tier admission deadline.
+  // A cloud aggregation point: an edge's update arriving at the cloud
+  // (three-tier), or a two-tier admission deadline.
   kCloudSync,
   // An availability transition (worker or edge going up/down) becoming
   // visible to the engine. Bookkeeping: rosters are resolved against the
   // fault schedule at dispatch points, this event records the flip in the
   // trace and the obs counters.
   kFault,
-  // Bookkeeping for the sync policy: curve recording and per-interval
-  // accounting, scheduled after the same-instant synchronization events.
-  kEval,
 };
 
 const char* to_string(EventType type);
@@ -55,7 +52,7 @@ struct Event {
   std::uint64_t seq = 0;  // queue-assigned push order; breaks time ties
   EventType type = EventType::kWorkerReady;
   std::size_t entity = 0;  // worker id / edge id (type-dependent)
-  std::size_t round = 0;   // iteration t, interval k, or round index
+  std::size_t round = 0;   // interval, cloud version or payload index
   bool flag = false;   // kWorkerReady: worker absent; kFault: entity came up
   bool is_edge = false;  // kFault: entity is an edge node
 };

@@ -22,8 +22,6 @@ const char* to_string(EventType type) {
       return "cloud_sync";
     case EventType::kFault:
       return "fault";
-    case EventType::kEval:
-      return "eval";
   }
   return "unknown";
 }

@@ -12,11 +12,12 @@
 //     from seeded fault models, so every algorithm replays the identical
 //     fault trace, the same discipline as the engine's batch streams.
 //
-//   * `Participation` is the engine's runtime view of a schedule: per
-//     interval it materializes the surviving roster and the renormalized
+//   * `Participation` is the engine's runtime view of one interval's
+//     roster: the surviving workers and edges and the renormalized
 //     data-size weights (absent workers' mass is redistributed over the
 //     survivors, per edge and globally; absent edges' mass over the
-//     surviving edges).
+//     surviving edges). Every roster, dense or sampled, sync or
+//     event-driven, is composed by the one builder set_cohort_roster.
 //
 // A null `Participation*` everywhere means full participation and reduces
 // every helper to the exact pre-fault code path — the engine guarantees
@@ -93,10 +94,10 @@ class AvailabilityOracle {
   virtual Scalar absent_decay() const { return 0.5; }
 };
 
-// Adapter: expose a dense ParticipationSchedule through the oracle
-// interface. Intervals past the schedule horizon report everything up. Used
-// by parity tests to drive the virtualized sampled path and the dense path
-// from the same fault trace.
+// Expose a dense ParticipationSchedule through the oracle interface: the
+// path every fl::Engine::run(alg, schedule) takes, so a dense schedule and
+// a lazy oracle feed the engine's one roster builder. Intervals past the
+// schedule horizon report everything up.
 class ScheduleOracle final : public AvailabilityOracle {
  public:
   explicit ScheduleOracle(const ParticipationSchedule& schedule)
@@ -118,78 +119,49 @@ class ScheduleOracle final : public AvailabilityOracle {
   const ParticipationSchedule* schedule_;
 };
 
-// Runtime view of one interval of a schedule: surviving rosters and
+// Runtime view of one interval's roster: surviving workers and edges and
 // renormalized aggregation weights. Owned by the engine; algorithms access
 // it through `Context::part` and the null-tolerant helpers below.
 class Participation {
  public:
-  // Primary constructor: `base_weights` supplies each worker's data-size
-  // mass D_i to renormalize (the population subsystem passes its descriptor
-  // weights; the convenience overloads below read `num_samples` from
-  // materialized worker states). A null `schedule` selects manual-roster
-  // mode. When `edge_faults` is false (two-tier runs, where workers talk
-  // straight to the cloud), edge outages are ignored.
-  Participation(const Topology& topo, const ParticipationSchedule* schedule,
-                std::vector<Scalar> base_weights, bool edge_faults);
-
-  // Schedule-backed view over a dense worker set.
-  Participation(const Topology& topo, const ParticipationSchedule& schedule,
-                const WorkerSet& workers, bool edge_faults);
-
-  // Manual-roster mode (evt::AsyncEngine, virtualized cohort dispatch): no
-  // schedule backs the view — the caller composes each roster via
-  // set_roster() instead of interval replay, typically the per-round
-  // admitted cohort of an asynchronous aggregation.
-  // begin_interval()/slowdown() are unavailable in this mode; absent policy
-  // defaults to kHold until set_absent_policy().
-  Participation(const Topology& topo, const WorkerSet& workers,
+  // `base_weights` supplies each worker's data-size mass D_i to
+  // renormalize. When `edge_faults` is false (two-tier runs, where workers
+  // talk straight to the cloud), edge outages are ignored. Starts with
+  // every worker and edge absent; absent policy defaults to kHold until
+  // set_absent_policy().
+  Participation(const Topology& topo, std::vector<Scalar> base_weights,
                 bool edge_faults);
 
-  // Materialize interval k (1-based). Must be called before the first local
-  // step of the interval; stays valid through the interval's syncs.
-  // Schedule-backed mode only.
-  void begin_interval(std::size_t k);
-
-  // Manual-roster mode: materialize an explicit roster. `worker_up` /
-  // `edge_up` flag who participates; `scale`, when non-null, multiplies
-  // worker i's data-size mass by scale[i] before renormalization (the
-  // staleness weight s(τ) of event-driven aggregation — weights stay
+  // Compose a roster: exactly `cohort_ids` (ascending, unique) may be up —
+  // cohort member i is up iff cohort_up[i] and (three-tier) its edge is
+  // up; everyone outside the cohort is absent. `cohort_scale`, when
+  // non-null, is aligned with cohort_ids and multiplies member i's mass
+  // before renormalization (the multiplicity of with-replacement draws, or
+  // the staleness weight s(τ) of event-driven aggregation — weights stay
   // normalized per edge and globally, only the relative mass shifts).
-  void set_roster(const std::vector<std::uint8_t>& worker_up,
-                  const std::vector<std::uint8_t>& edge_up,
-                  const std::vector<Scalar>* scale = nullptr);
-
-  // Manual-roster mode, sparse form: exactly `cohort_ids` (ascending,
-  // unique) may be up — cohort member i is up iff cohort_up[i]; everyone
-  // outside the cohort is absent. `cohort_scale`, when non-null, is aligned
-  // with cohort_ids (multiplicity of with-replacement draws). Costs
-  // O(cohort + edges) per call after a one-time O(population) baseline
-  // clear, versus set_roster's O(population) every interval, and is
-  // bit-identical to passing the equivalent population-sized arrays to
-  // set_roster: every floating-point mass sum visits the same members in
-  // the same ascending-id / ascending-edge order (workers_of_edge lists
-  // ascending ids, so a per-edge roster built from the ascending cohort is
-  // the same subsequence the dense rebuild walks).
+  // Costs O(cohort + edges) per call: only the previous roster's marks are
+  // cleared. Every mass sum walks members in ascending id order and edges
+  // in ascending order (workers_of_edge lists ascending ids, so a per-edge
+  // roster built from the ascending cohort is that edge's ascending
+  // survivors).
   void set_cohort_roster(const std::vector<WorkerId>& cohort_ids,
                          const std::vector<std::uint8_t>& cohort_up,
                          const std::vector<std::uint8_t>& edge_up,
                          const std::vector<Scalar>* cohort_scale = nullptr);
 
-  // Manual-roster mode: a cloud-tier roster of edges only. Every worker is
-  // absent (algorithm worker loops guarded by is_active skip them), yet an
-  // up edge counts as active by itself — unlike set_roster, which
-  // deactivates an edge with no surviving workers. Edge weights are
-  // renormalized over the up edges by their static data mass, so a
-  // singleton roster gives that edge weight exactly 1. The event-driven
-  // engine folds an edge's upload into the cloud through this view without
-  // touching the edge's (possibly in-flight) workers — the causal fix for
-  // the retroactive subtree refresh.
+  // A cloud-tier roster of edges only. Every worker is absent (algorithm
+  // worker loops guarded by is_active skip them), yet an up edge counts as
+  // active by itself — unlike set_cohort_roster, which deactivates an edge
+  // with no surviving workers. Edge weights are renormalized over the up
+  // edges by their static data mass, so a singleton roster gives that edge
+  // weight exactly 1. The event-driven engine folds an edge's upload into
+  // the cloud through this view without touching the edge's (possibly
+  // in-flight) workers — the causal fix for the retroactive subtree
+  // refresh.
   void set_edge_roster(const std::vector<std::uint8_t>& edge_up);
 
-  // Manual-roster mode: absent-momentum policy reported to absent_sync.
+  // Absent-momentum policy reported to absent_sync.
   void set_absent_policy(AbsentPolicy policy, Scalar decay);
-
-  std::size_t interval() const { return k_; }
 
   // Worker i survives this interval AND (three-tier) its edge is reachable.
   bool worker_active(std::size_t worker) const { return active_[worker] != 0; }
@@ -214,28 +186,18 @@ class Participation {
 
   std::size_t num_active() const { return num_active_; }
   std::size_t num_workers() const { return active_.size(); }
-  // 1.0 in manual-roster mode (the event clock models latency itself).
-  Scalar slowdown(std::size_t worker) const {
-    return schedule_ == nullptr ? 1.0 : schedule_->worker_slowdown(k_, worker);
-  }
 
-  AbsentPolicy absent_policy() const {
-    return schedule_ == nullptr ? manual_policy_ : schedule_->absent_policy;
-  }
-  Scalar absent_decay() const {
-    return schedule_ == nullptr ? manual_decay_ : schedule_->absent_decay;
-  }
-  const ParticipationSchedule& schedule() const { return *schedule_; }
+  AbsentPolicy absent_policy() const { return policy_; }
+  Scalar absent_decay() const { return decay_; }
 
  private:
-  void rebuild_weights();
+  // Restore the all-absent baseline on last roster's cohort.
+  void clear_cohort();
 
   const Topology* topo_;
-  const ParticipationSchedule* schedule_;  // null = manual-roster mode
   bool edge_faults_;
-  std::size_t k_ = 0;
-  AbsentPolicy manual_policy_ = AbsentPolicy::kHold;
-  Scalar manual_decay_ = 0.5;
+  AbsentPolicy policy_ = AbsentPolicy::kHold;
+  Scalar decay_ = 0.5;
 
   std::vector<Scalar> base_weight_;  // per-worker sample mass D_i
   std::vector<Scalar> mass_;         // effective mass this roster (D_i·scale)
@@ -246,10 +208,8 @@ class Participation {
   std::vector<Scalar> weight_global_;
   std::vector<Scalar> edge_weight_;
   std::size_t num_active_ = 0;
-  // Sparse-roster bookkeeping: while true, only prev_cohort_ids_ may carry
-  // nonzero active bits / weights (the all-absent baseline holds everywhere
-  // else). Dense entry points reset it so the two forms can interleave.
-  bool sparse_mode_ = false;
+  // Only these workers may carry nonzero active bits / weights; the
+  // all-absent baseline holds everywhere else.
   std::vector<WorkerId> prev_cohort_ids_;
 };
 

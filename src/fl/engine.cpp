@@ -94,7 +94,7 @@ void Engine::prefetch_cohort_gradients(Algorithm& alg, Context& ctx,
   }
 }
 
-void Engine::build_states(Algorithm& alg, RunState& rs) {
+void Engine::build_states(RunState& rs) {
   Rng root(cfg_.seed);
   Rng init_rng = root.fork(0x1217);
 
@@ -111,12 +111,12 @@ void Engine::build_states(Algorithm& alg, RunState& rs) {
     edge_samples[topo_.edge_of_worker(w)] += partition_[w].size();
   }
 
+  // Algorithm::init and init_worker run in open_interval: a virtualized
+  // run needs its first cohort materialized first.
   if (provider_ != nullptr) {
     // Virtualized run: the provider owns worker-state lifetime; the engine
     // keeps only the id-addressed view (its internal pointers track the
-    // provider's containers across cohort changes). Algorithm::init and
-    // init_worker are deferred to begin_virtual_interval — they need the
-    // first cohort materialized.
+    // provider's containers across cohort changes).
     provider_->begin_run(x0);
     rs.worker_pool.clear();
     rs.workers = provider_->workers();
@@ -141,13 +141,6 @@ void Engine::build_states(Algorithm& alg, RunState& rs) {
   rs.cloud.x = x0;
   rs.cloud.y = x0;
   rs.cloud.extra.clear();
-
-  if (provider_ == nullptr) {
-    Context ctx{&cfg_, &topo_, &rs.workers, &rs.edges, &rs.cloud, 0, nullptr,
-                pool_.get()};
-    alg.init(ctx);
-    for (WorkerState& w : rs.worker_pool) alg.init_worker(ctx, w);
-  }
 }
 
 void Engine::build_dense_workers(RunState& rs, const Vec& x0,
@@ -196,8 +189,8 @@ nn::EvalResult Engine::evaluate(const Vec& params) {
                             : std::min(test.size(), cfg_.eval_max_samples);
   HFL_CHECK(n > 0, "empty test set");
 
-  constexpr std::size_t kEvalBatch = 128;
-  const std::size_t num_batches = (n + kEvalBatch - 1) / kEvalBatch;
+  constexpr std::size_t kTestBatch = 128;
+  const std::size_t num_batches = (n + kTestBatch - 1) / kTestBatch;
 
   std::vector<Scalar> losses(num_batches, 0.0);
   std::vector<Scalar> correct(num_batches, 0.0);
@@ -226,8 +219,8 @@ nn::EvalResult Engine::evaluate(const Vec& params) {
     std::vector<Scalar> local_loss(bhi - blo), local_correct(bhi - blo);
     std::vector<std::size_t> local_count(bhi - blo);
     for (std::size_t b = blo; b < bhi; ++b) {
-      const std::size_t lo = b * kEvalBatch;
-      const std::size_t hi = std::min(n, lo + kEvalBatch);
+      const std::size_t lo = b * kTestBatch;
+      const std::size_t hi = std::min(n, lo + kTestBatch);
       idx.resize(hi - lo);
       for (std::size_t i = lo; i < hi; ++i) idx[i - lo] = i;
       test.gather(idx, x, y);
@@ -254,8 +247,17 @@ nn::EvalResult Engine::evaluate(const Vec& params) {
   return total;
 }
 
-void Engine::prepare_run(Algorithm& alg, const ParticipationSchedule* schedule,
-                         const AvailabilityOracle* oracle, RunState& rs) {
+std::vector<Scalar> Engine::base_weights() const {
+  if (provider_ != nullptr) return provider_->base_weights();
+  std::vector<Scalar> base(topo_.num_workers());
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    base[i] = static_cast<Scalar>(partition_[i].size());
+  }
+  return base;
+}
+
+void Engine::prepare_run(Algorithm& alg, const AvailabilityOracle* oracle,
+                         RunState& rs) {
   if (!alg.three_tier()) {
     HFL_CHECK(cfg_.pi == 1,
               "two-tier algorithms require pi == 1 (use tau as the global "
@@ -263,7 +265,7 @@ void Engine::prepare_run(Algorithm& alg, const ParticipationSchedule* schedule,
   }
   rs.start = std::chrono::steady_clock::now();
 
-  build_states(alg, rs);
+  build_states(rs);
 
   // Logical synchronization payloads (obs/comm.h). Everything recorded from
   // these is derived from state the simulation already computed; telemetry
@@ -280,50 +282,39 @@ void Engine::prepare_run(Algorithm& alg, const ParticipationSchedule* schedule,
   rs.edge_up_bytes = payload(comm_profile.edge_upload_vectors);
   rs.edge_down_bytes = payload(comm_profile.edge_download_vectors);
 
-  if (provider_ != nullptr) {
-    HFL_CHECK(schedule == nullptr,
-              "virtualized runs take availability from an oracle, not a "
-              "dense schedule");
-    if (provider_->sampling()) {
-      const std::size_t global_period = cfg_.tau * cfg_.pi;
-      HFL_CHECK(cfg_.eval_every == 0 || cfg_.eval_every % global_period == 0,
-                "sampled virtualized runs evaluate only at cloud rounds "
-                "(eval_every must be 0 or a multiple of tau*pi): the "
-                "mid-interval virtual global model would need every worker "
-                "materialized");
-      HFL_CHECK(!alg.probes_population() || cfg_.mime_cohort_stats,
-                alg.name() +
-                    " probes every worker's gradient for its server "
-                    "statistic, but cohort sampling materializes only the "
-                    "sampled workers; set cfg.mime_cohort_stats = true to "
-                    "estimate the statistic from the cohort instead");
-    }
-    if (oracle != nullptr) {
-      // Unmaterialized workers receive the policy lazily: the provider
-      // stamps each spill with the interval clock and replays the policy
-      // once per missed interval at restore (bit-identical to a
-      // materialized worker receiving absent_sync every interval).
-      provider_->set_absent_replay(oracle->absent_policy(),
-                                   oracle->absent_decay());
-    }
-    // Sampling and oracle faults both flow through a manual-roster
-    // Participation over the whole population; neither active → part stays
-    // null and the run is the exact full-participation path.
-    if (provider_->sampling() || oracle != nullptr) {
-      rs.part = std::make_unique<Participation>(topo_, nullptr,
-                                                provider_->base_weights(),
-                                                /*edge_faults=*/alg.three_tier());
-      if (oracle != nullptr) {
-        rs.part->set_absent_policy(oracle->absent_policy(),
-                                   oracle->absent_decay());
-      }
-    }
-  } else if (schedule != nullptr && !schedule->is_noop()) {
-    // A null or no-op schedule takes the pre-fault code path, byte for byte:
-    // `part` stays null and every helper reduces to the full roster.
-    schedule->validate(topo_, cfg_);
-    rs.part = std::make_unique<Participation>(topo_, *schedule, rs.workers,
+  const bool sampling = provider_ != nullptr && provider_->sampling();
+  if (sampling) {
+    const std::size_t global_period = cfg_.tau * cfg_.pi;
+    HFL_CHECK(cfg_.eval_every == 0 || cfg_.eval_every % global_period == 0,
+              "sampled virtualized runs evaluate only at cloud rounds "
+              "(eval_every must be 0 or a multiple of tau*pi): the "
+              "mid-interval virtual global model would need every worker "
+              "materialized");
+    HFL_CHECK(!alg.probes_population() || cfg_.mime_cohort_stats,
+              alg.name() +
+                  " probes every worker's gradient for its server "
+                  "statistic, but cohort sampling materializes only the "
+                  "sampled workers; set cfg.mime_cohort_stats = true to "
+                  "estimate the statistic from the cohort instead");
+  }
+  if (provider_ != nullptr && oracle != nullptr) {
+    // Unmaterialized workers receive the policy lazily: the provider
+    // stamps each spill with the interval clock and replays the policy
+    // once per missed interval at restore (bit-identical to a
+    // materialized worker receiving absent_sync every interval).
+    provider_->set_absent_replay(oracle->absent_policy(),
+                                 oracle->absent_decay());
+  }
+  // Sampling and faults both flow through one Participation over the whole
+  // population; neither active → part stays null and the run is the exact
+  // full-participation path.
+  if (sampling || oracle != nullptr) {
+    rs.part = std::make_unique<Participation>(topo_, base_weights(),
                                               /*edge_faults=*/alg.three_tier());
+    if (oracle != nullptr) {
+      rs.part->set_absent_policy(oracle->absent_policy(),
+                                 oracle->absent_decay());
+    }
   }
 
   rs.ctx = Context{&cfg_,     &topo_,        &rs.workers, &rs.edges,
@@ -336,28 +327,30 @@ void Engine::prepare_run(Algorithm& alg, const ParticipationSchedule* schedule,
     rs.num_part_intervals = 0;
   }
 
-  if (provider_ != nullptr) {
-    begin_virtual_interval(alg, rs, 1, oracle, /*first_interval=*/true);
-  }
+  open_interval(alg, rs, 1, oracle, /*first_interval=*/true);
 }
 
-void Engine::begin_virtual_interval(Algorithm& alg, RunState& rs,
-                                    std::size_t k,
-                                    const AvailabilityOracle* oracle,
-                                    bool first_interval) {
-  const std::size_t population = provider_->population();
-  provider_->begin_interval(k);
-  std::vector<WorkerId> fresh;
-  if (provider_->sampling()) {
+void Engine::open_interval(Algorithm& alg, RunState& rs, std::size_t k,
+                           const AvailabilityOracle* oracle,
+                           bool first_interval) {
+  const bool sampling = provider_ != nullptr && provider_->sampling();
+  if (provider_ != nullptr) provider_->begin_interval(k);
+  if (sampling) {
     provider_->sample_cohort(k, rs.cohort_ids, rs.cohort_mult);
+  } else if (first_interval) {
+    // Full cohort: every worker, every interval (rs.cohort_ids keeps
+    // describing it).
+    rs.cohort_ids.resize(topo_.num_workers());
+    std::iota(rs.cohort_ids.begin(), rs.cohort_ids.end(), WorkerId{0});
+    rs.cohort_mult.assign(rs.cohort_ids.size(), 1.0);
+  }
+  // First-timers to initialize: a provider materializes the new cohort and
+  // reports them; a dense pool holds every worker from the start.
+  std::vector<WorkerId> fresh;
+  if (provider_ != nullptr && (sampling || first_interval)) {
     fresh = provider_->set_cohort(rs.cohort_ids);
   } else if (first_interval) {
-    // Full-cohort mode: materialize everyone once; later intervals reuse
-    // the pool untouched (and rs.cohort_ids keeps describing it).
-    rs.cohort_ids.resize(population);
-    std::iota(rs.cohort_ids.begin(), rs.cohort_ids.end(), WorkerId{0});
-    rs.cohort_mult.assign(population, 1.0);
-    fresh = provider_->set_cohort(rs.cohort_ids);
+    fresh = rs.cohort_ids;
   }
 
   if (rs.part != nullptr) {
@@ -379,33 +372,11 @@ void Engine::begin_virtual_interval(Algorithm& alg, RunState& rs,
         rs.roster_edge_up[e] = oracle->edge_available(k, e) ? 1 : 0;
       }
     }
-    if (provider_->sampling()) {
-      // Sparse form: O(cohort + edges) per interval instead of rebuilding
-      // population-sized arrays — at N = 1M workers the dense form dominated
-      // every interval's cost. Bit-identical to set_roster on the expanded
-      // arrays (asserted by tests/pop_parity_test.cpp).
-      rs.part->set_cohort_roster(rs.cohort_ids, rs.cohort_up,
-                                 rs.roster_edge_up,
-                                 scaled ? &rs.cohort_mult : nullptr);
-    } else {
-      rs.roster_up.assign(population, 0);
-      for (std::size_t i = 0; i < rs.cohort_ids.size(); ++i) {
-        rs.roster_up[rs.cohort_ids[i]] = rs.cohort_up[i];
-      }
-      const std::vector<Scalar>* scale = nullptr;
-      if (scaled) {
-        rs.roster_scale.assign(population, 1.0);
-        for (std::size_t i = 0; i < rs.cohort_ids.size(); ++i) {
-          rs.roster_scale[rs.cohort_ids[i]] = rs.cohort_mult[i];
-        }
-        scale = &rs.roster_scale;
-      }
-      rs.part->set_roster(rs.roster_up, rs.roster_edge_up, scale);
-    }
+    rs.part->set_cohort_roster(rs.cohort_ids, rs.cohort_up, rs.roster_edge_up,
+                               scaled ? &rs.cohort_mult : nullptr);
   }
 
-  // Algorithm init runs against a participation-free context — exactly the
-  // context dense build_states hands to init/init_worker (Mime's anchor
+  // Algorithm init runs against a participation-free context (Mime's anchor
   // probe must see the full materialized cohort, not the interval roster).
   Context init_ctx = rs.ctx;
   init_ctx.part = nullptr;
@@ -542,18 +513,12 @@ void Engine::finish_interval(Algorithm& alg, RunState& rs, std::size_t k) {
       alg.absent_sync(rs.ctx, w, k);
     }
     // Miss counts cover the whole population, materialized or not. Count
-    // participation (misses fall out at finalize as intervals − hits): the
-    // participants are enumerable in O(cohort) for sampled runs, where the
-    // old per-interval O(population) absence sweep dominated at N = 1M.
+    // participation (misses fall out at finalize as intervals − hits): only
+    // cohort members can participate, so this is O(cohort), not
+    // O(population).
     ++rs.num_part_intervals;
-    if (provider_ != nullptr && provider_->sampling()) {
-      for (const WorkerId id : rs.cohort_ids) {
-        if (part->worker_active(id)) ++rs.participation_counts[id];
-      }
-    } else {
-      for (std::size_t w = 0; w < part->num_workers(); ++w) {
-        if (part->worker_active(w)) ++rs.participation_counts[w];
-      }
+    for (const WorkerId id : rs.cohort_ids) {
+      if (part->worker_active(id)) ++rs.participation_counts[id];
     }
     rs.result.participation.push_back(
         {k, part->num_active(), rs.workers.size(), active_edges,
@@ -606,17 +571,13 @@ void Engine::set_cohort_provider(CohortProvider* provider) {
 }
 
 RunResult Engine::run(Algorithm& alg, const ParticipationSchedule* schedule) {
-  if (provider_ != nullptr) {
-    // Virtualized engines replay dense schedules through the oracle
-    // adapter, so one fault trace drives both code paths bit-identically.
-    if (schedule != nullptr && !schedule->is_noop()) {
-      schedule->validate(topo_, cfg_);
-      const ScheduleOracle oracle(*schedule);
-      return run_impl(alg, nullptr, &oracle);
-    }
-    return run_impl(alg, nullptr, nullptr);
-  }
-  return run_impl(alg, schedule, nullptr);
+  // A null or no-op schedule takes the exact fault-free path; any other
+  // schedule is replayed through the oracle adapter, so dense schedules and
+  // lazy oracles reach the same roster builder.
+  if (schedule == nullptr || schedule->is_noop()) return run_impl(alg, nullptr);
+  schedule->validate(topo_, cfg_);
+  const ScheduleOracle oracle(*schedule);
+  return run_impl(alg, &oracle);
 }
 
 RunResult Engine::run_with_oracle(Algorithm& alg,
@@ -624,28 +585,22 @@ RunResult Engine::run_with_oracle(Algorithm& alg,
   HFL_CHECK(provider_ != nullptr,
             "run_with_oracle requires an attached cohort provider "
             "(set_cohort_provider)");
-  return run_impl(alg, nullptr, oracle);
+  return run_impl(alg, oracle);
 }
 
-RunResult Engine::run_impl(Algorithm& alg,
-                           const ParticipationSchedule* schedule,
-                           const AvailabilityOracle* oracle) {
+RunResult Engine::run_impl(Algorithm& alg, const AvailabilityOracle* oracle) {
   const obs::Span run_span("run:" + alg.name(), "engine");
 
   RunState rs;
-  prepare_run(alg, schedule, oracle, rs);
+  prepare_run(alg, oracle, rs);
   record_point(rs, 0, rs.cloud.x);
 
   const std::size_t global_period = cfg_.tau * cfg_.pi;
   for (std::size_t t = 1; t <= cfg_.total_iterations; ++t) {
     rs.ctx.t = t;
-    if ((t - 1) % cfg_.tau == 0) {
-      const std::size_t k = (t - 1) / cfg_.tau + 1;
-      if (provider_ != nullptr) {
-        if (k > 1) begin_virtual_interval(alg, rs, k, oracle, false);
-      } else if (rs.part) {
-        rs.part->begin_interval(k);
-      }
+    if (t > 1 && (t - 1) % cfg_.tau == 0) {
+      open_interval(alg, rs, (t - 1) / cfg_.tau + 1, oracle,
+                    /*first_interval=*/false);
     }
     run_local_steps(alg, rs);
 

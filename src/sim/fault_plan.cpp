@@ -6,10 +6,6 @@
 
 namespace hfl::sim {
 
-using detail::kEdgeStreamBase;
-using detail::kStragglerAssign;
-using detail::kWorkerStreamBase;
-
 namespace {
 
 bool in_unit(Scalar p) { return p >= 0.0 && p <= 1.0; }
@@ -45,6 +41,107 @@ void FaultConfig::validate() const {
             "absent_decay must be in [0, 1]");
 }
 
+namespace detail {
+
+namespace {
+
+// Fork tags of the per-entity fault streams.
+constexpr std::uint64_t kWorkerStreamBase = 0x5EED0000;
+constexpr std::uint64_t kEdgeStreamBase = 0xED6E0000;
+constexpr std::uint64_t kStragglerAssign = 0x57A60001;
+
+}  // namespace
+
+std::vector<std::uint8_t> straggler_roles(const Rng& root,
+                                          const FaultConfig& cfg,
+                                          std::size_t num_workers) {
+  std::vector<std::uint8_t> roles;
+  if (cfg.straggler.fraction <= 0.0) return roles;
+  Rng assign = root.fork_nth(kStragglerAssign, 1);
+  roles.resize(num_workers);
+  for (std::size_t w = 0; w < num_workers; ++w) {
+    roles[w] = assign.uniform() < cfg.straggler.fraction ? 1 : 0;
+  }
+  return roles;
+}
+
+WorkerFaultCursor start_worker(const Rng& root, const FaultConfig& cfg,
+                               std::size_t worker) {
+  WorkerFaultCursor c;
+  c.rng = root.fork_nth(kWorkerStreamBase + worker, 2 + worker);
+  c.online = c.rng.uniform() >= cfg.churn.p_start_down;
+  return c;
+}
+
+WorkerFaultStep step_worker(const FaultConfig& cfg, bool straggler,
+                            WorkerFaultCursor& c) {
+  const std::size_t k = c.k + 1;
+
+  // Markov churn state for this interval.
+  if (cfg.churn.p_fail > 0.0 || cfg.churn.p_start_down > 0.0) {
+    if (k > 1) {
+      const Scalar flip = c.rng.uniform();
+      c.online = c.online ? flip >= cfg.churn.p_fail
+                          : flip < cfg.churn.p_recover;
+    }
+  } else {
+    c.online = true;
+  }
+
+  bool up = c.online;
+
+  // i.i.d. dropout on top of churn.
+  if (cfg.dropout.prob > 0.0 && c.rng.uniform() < cfg.dropout.prob) {
+    up = false;
+  }
+
+  // Straggler slowdown (drawn even for absent workers to keep the stream
+  // aligned across configs that only differ in other models).
+  Scalar factor = 1.0;
+  if (straggler) {
+    factor = cfg.straggler.slowdown;
+    if (cfg.straggler.jitter > 0.0) {
+      factor *= std::max(Scalar{0.2}, c.rng.normal(1.0, cfg.straggler.jitter));
+    }
+    factor = std::max(Scalar{1.0}, factor);
+  }
+
+  // Deadline policy: a straggler over the time budget is dropped at the
+  // barrier.
+  if (cfg.straggler.deadline_slowdown > 0.0 &&
+      factor > cfg.straggler.deadline_slowdown) {
+    up = false;
+  }
+
+  // Transient link faults: geometric retry count, capped by the retry
+  // budget; exhausting the budget means the upload never lands.
+  std::size_t attempt = 1;
+  if (up && cfg.link.loss_prob > 0.0) {
+    while (c.rng.uniform() < cfg.link.loss_prob) {
+      if (attempt == cfg.link.max_retries) {
+        up = false;
+        break;
+      }
+      ++attempt;
+    }
+  }
+
+  c.k = k;
+  c.up = up;
+  return {factor, attempt};
+}
+
+void advance_worker(const FaultConfig& cfg, bool straggler,
+                    WorkerFaultCursor& c, std::size_t k) {
+  while (c.k < k) step_worker(cfg, straggler, c);
+}
+
+Rng edge_stream(const Rng& root, std::size_t num_workers, std::size_t edge) {
+  return root.fork_nth(kEdgeStreamBase + edge, 2 + num_workers + edge);
+}
+
+}  // namespace detail
+
 FaultPlan::FaultPlan(const fl::Topology& topo, const fl::RunConfig& run,
                      FaultConfig cfg)
     : cfg_(cfg) {
@@ -58,121 +155,38 @@ FaultPlan::FaultPlan(const fl::Topology& topo, const fl::RunConfig& run,
   schedule_.num_intervals = intervals;
   schedule_.num_workers = n;
   schedule_.num_edges = l;
-  schedule_.worker_up.assign(intervals * n, 1);
-  schedule_.slowdown.assign(intervals * n, 1.0);
+  schedule_.worker_up.resize(intervals * n);
+  schedule_.slowdown.resize(intervals * n);
   schedule_.edge_up.assign(intervals * l, 1);
   schedule_.absent_policy = cfg_.absent_policy;
   schedule_.absent_decay = cfg_.absent_decay;
-  attempts_.assign(intervals * n, 1);
+  attempts_.resize(intervals * n);
 
-  Rng root(cfg_.seed);
-
-  // Straggler roles are a fleet-level draw (one stream, worker order): the
-  // configured fraction picks which workers are persistently slow.
-  std::vector<std::uint8_t> is_straggler(n, 0);
-  {
-    Rng assign = root.fork(kStragglerAssign);
-    for (std::size_t w = 0; w < n; ++w) {
-      is_straggler[w] = assign.uniform() < cfg_.straggler.fraction ? 1 : 0;
-    }
-  }
-
-  // Per-worker streams: every availability/slowdown/link draw for worker w
-  // comes from fork(kWorkerStreamBase + w), so the trace for one worker is
-  // independent of the fleet size ordering of the loops below.
+  const Rng root(cfg_.seed);
+  const std::vector<std::uint8_t> roles =
+      detail::straggler_roles(root, cfg_, n);
   for (std::size_t w = 0; w < n; ++w) {
-    Rng wrng = root.fork(kWorkerStreamBase + w);
-    bool online = wrng.uniform() >= cfg_.churn.p_start_down;
+    const bool straggler = !roles.empty() && roles[w] != 0;
+    detail::WorkerFaultCursor c = detail::start_worker(root, cfg_, w);
     for (std::size_t k = 1; k <= intervals; ++k) {
+      const detail::WorkerFaultStep step =
+          detail::step_worker(cfg_, straggler, c);
       const std::size_t idx = (k - 1) * n + w;
-
-      // Markov churn state for this interval.
-      if (cfg_.churn.p_fail > 0.0 || cfg_.churn.p_start_down > 0.0) {
-        if (k > 1) {
-          const Scalar flip = wrng.uniform();
-          online = online ? flip >= cfg_.churn.p_fail
-                          : flip < cfg_.churn.p_recover;
-        }
-      } else {
-        online = true;
-      }
-
-      bool up = online;
-
-      // i.i.d. dropout on top of churn.
-      if (cfg_.dropout.prob > 0.0 && wrng.uniform() < cfg_.dropout.prob) {
-        up = false;
-      }
-
-      // Straggler slowdown (drawn even for absent workers to keep the
-      // stream aligned across configs that only differ in other models).
-      Scalar factor = 1.0;
-      if (is_straggler[w]) {
-        factor = cfg_.straggler.slowdown;
-        if (cfg_.straggler.jitter > 0.0) {
-          factor *= std::max(Scalar{0.2},
-                             wrng.normal(1.0, cfg_.straggler.jitter));
-        }
-        factor = std::max(Scalar{1.0}, factor);
-      }
-      schedule_.slowdown[idx] = factor;
-
-      // Deadline policy: a straggler over the time budget is dropped at the
-      // barrier.
-      if (cfg_.straggler.deadline_slowdown > 0.0 &&
-          factor > cfg_.straggler.deadline_slowdown) {
-        up = false;
-      }
-
-      // Transient link faults: geometric retry count, capped by the retry
-      // budget; exhausting the budget means the upload never lands.
-      if (up && cfg_.link.loss_prob > 0.0) {
-        std::size_t attempt = 1;
-        while (wrng.uniform() < cfg_.link.loss_prob) {
-          if (attempt == cfg_.link.max_retries) {
-            up = false;
-            break;
-          }
-          ++attempt;
-        }
-        attempts_[idx] = attempt;
-      }
-
-      schedule_.worker_up[idx] = up ? 1 : 0;
+      schedule_.worker_up[idx] = c.up ? 1 : 0;
+      schedule_.slowdown[idx] = step.slowdown;
+      attempts_[idx] = step.attempts;
     }
   }
 
-  // Per-edge outage streams.
   if (cfg_.edge_outage.prob > 0.0) {
     for (std::size_t e = 0; e < l; ++e) {
-      Rng erng = root.fork(kEdgeStreamBase + e);
+      Rng erng = detail::edge_stream(root, n, e);
       for (std::size_t k = 1; k <= intervals; ++k) {
-        if (erng.uniform() < cfg_.edge_outage.prob) {
-          schedule_.edge_up[(k - 1) * l + e] = 0;
-        }
+        schedule_.edge_up[(k - 1) * l + e] =
+            detail::step_edge(cfg_, erng) ? 1 : 0;
       }
     }
   }
-}
-
-std::vector<FaultTransition> fault_transitions(
-    const fl::ParticipationSchedule& schedule) {
-  std::vector<FaultTransition> out;
-  const std::size_t n = schedule.num_workers;
-  const std::size_t l = schedule.num_edges;
-  for (std::size_t k = 1; k <= schedule.num_intervals; ++k) {
-    for (std::size_t w = 0; w < n; ++w) {
-      const bool up = schedule.worker_available(k, w);
-      const bool prev = k == 1 ? true : schedule.worker_available(k - 1, w);
-      if (up != prev) out.push_back({k, /*is_edge=*/false, w, up});
-    }
-    for (std::size_t e = 0; e < l; ++e) {
-      const bool up = schedule.edge_available(k, e);
-      const bool prev = k == 1 ? true : schedule.edge_available(k - 1, e);
-      if (up != prev) out.push_back({k, /*is_edge=*/true, e, up});
-    }
-  }
-  return out;
 }
 
 Scalar FaultPlan::planned_participation() const {

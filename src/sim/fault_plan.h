@@ -41,32 +41,6 @@
 
 namespace hfl::sim {
 
-namespace detail {
-// Fork tags of the per-entity fault streams, shared by FaultPlan (eager
-// materialization) and SparseFaultPlan (lazy replay) so both derive
-// bit-identical traces from the same FaultConfig.
-inline constexpr std::uint64_t kWorkerStreamBase = 0x5EED0000;
-inline constexpr std::uint64_t kEdgeStreamBase = 0xED6E0000;
-inline constexpr std::uint64_t kStragglerAssign = 0x57A60001;
-}  // namespace detail
-
-// One availability flip extracted from a schedule: entity `id` (worker, or
-// edge when `is_edge`) changes to state `up` at the start of edge interval
-// `interval` (1-based). The event-driven engine replays these as
-// fault-transition events; interval 1 entries describe entities that start
-// the run offline.
-struct FaultTransition {
-  std::size_t interval = 0;
-  bool is_edge = false;
-  std::size_t id = 0;
-  bool up = false;
-};
-
-// All transitions of `schedule` in deterministic order: by interval, workers
-// before edges, ascending id. Entities are assumed up before interval 1.
-std::vector<FaultTransition> fault_transitions(
-    const fl::ParticipationSchedule& schedule);
-
 struct DropoutModel {
   Scalar prob = 0.0;  // P(worker misses an interval), i.i.d. per interval
 };
@@ -116,6 +90,60 @@ struct FaultConfig {
   // Throws hfl::Error on out-of-range probabilities/factors.
   void validate() const;
 };
+
+namespace detail {
+
+// The one per-entity fault stepper. FaultPlan loops it eagerly over the
+// whole horizon; SparseFaultPlan replays it lazily for queried entities
+// only. Both therefore derive bit-identical traces from one FaultConfig.
+//
+// Every stream is a fork of the plan root Rng(cfg.seed), addressed by its
+// position in one fixed fork sequence: fork 1 = straggler roles, fork 2 + w
+// = worker w, fork 2 + n + e = edge e. Rng::fork_nth derives any one of
+// them without replaying the others.
+
+// Straggler roles are the one fleet-level draw (one stream, worker order):
+// O(n) bits. Empty when no straggler fraction is configured.
+std::vector<std::uint8_t> straggler_roles(const Rng& root,
+                                          const FaultConfig& cfg,
+                                          std::size_t num_workers);
+
+// One worker's fault stream, positioned after interval k.
+struct WorkerFaultCursor {
+  Rng rng{0};
+  std::size_t k = 0;   // last stepped interval (0 = before interval 1)
+  bool online = true;  // Markov churn state after interval k
+  bool up = true;      // available at interval k
+};
+
+// The rest of one interval's outcome: compute stretch and upload attempts.
+struct WorkerFaultStep {
+  Scalar slowdown = 1.0;
+  std::size_t attempts = 1;
+};
+
+// Worker `worker`'s cursor, positioned before interval 1.
+WorkerFaultCursor start_worker(const Rng& root, const FaultConfig& cfg,
+                               std::size_t worker);
+
+// Step the cursor to interval c.k + 1: churn, dropout, straggler slowdown,
+// deadline and link retries, drawn in that fixed order.
+WorkerFaultStep step_worker(const FaultConfig& cfg, bool straggler,
+                            WorkerFaultCursor& c);
+
+// Step the cursor forward until it reaches interval k (the lazy replay;
+// one call per query keeps the per-interval step inlined).
+void advance_worker(const FaultConfig& cfg, bool straggler,
+                    WorkerFaultCursor& c, std::size_t k);
+
+// Edge `edge`'s outage stream in a fleet of `num_workers`, and its
+// one-draw interval step (true = the edge is up).
+Rng edge_stream(const Rng& root, std::size_t num_workers, std::size_t edge);
+inline bool step_edge(const FaultConfig& cfg, Rng& rng) {
+  return !(rng.uniform() < cfg.edge_outage.prob);
+}
+
+}  // namespace detail
 
 // A materialized fault trace for one (topology, run) pair.
 class FaultPlan {

@@ -8,22 +8,20 @@
 // forked RNG streams on demand:
 //
 //   * construction precomputes only the O(n)-bit straggler-role bitmap
-//     (FaultPlan draws it from one fleet-level stream in worker order, so
-//     it cannot be derived per worker);
-//   * the first query for worker w derives its stream statelessly with
-//     Rng::fork_nth — FaultPlan takes worker w's stream as fork 2 + w of
-//     the plan root (fork 1 is the straggler-assignment stream) and edge
-//     e's as fork 2 + n + e — and replays interval rows until it reaches
+//     (one fleet-level stream in worker order, so it cannot be derived per
+//     worker);
+//   * the first query for worker w derives its stream statelessly
+//     (Rng::fork_nth) and steps it interval by interval until it reaches
 //     the asked interval, caching a per-entity cursor;
 //   * later queries advance the cursor forward, or rewind by replaying
 //     from the stream head (queries going backward are rare: the engine
 //     asks in nondecreasing interval order).
 //
-// The per-interval draw pattern mirrors FaultPlan::FaultPlan line for line
-// (same conditional draws in the same order), so for every (interval,
-// entity) the answer is bit-identical to the dense plan built from the same
-// config — asserted by tests/pop_test.cpp over the full model zoo. Queries
-// are serial-only, per the AvailabilityOracle contract.
+// Streams and the per-interval step are FaultPlan's own (sim::detail in
+// fault_plan.h), so for every (interval, entity) the answer is
+// bit-identical to the dense plan built from the same config — asserted by
+// tests/pop_test.cpp over the full model zoo. Queries are serial-only, per
+// the AvailabilityOracle contract.
 #pragma once
 
 #include <cstdint>
@@ -51,20 +49,11 @@ class SparseFaultPlan final : public fl::AvailabilityOracle {
   const FaultConfig& config() const { return cfg_; }
 
  private:
-  struct WorkerCursor {
-    Rng rng{0};
-    std::size_t k = 0;    // last replayed interval (0 = before interval 1)
-    bool online = true;   // Markov churn state after interval k
-    bool up = true;       // availability at interval k
-  };
   struct EdgeCursor {
     Rng rng{0};
     std::size_t k = 0;
     bool up = true;
   };
-
-  WorkerCursor fresh_worker_cursor(std::size_t worker) const;
-  void advance_worker(std::size_t worker, WorkerCursor& c) const;
 
   FaultConfig cfg_;
   std::size_t num_workers_ = 0;
@@ -73,7 +62,8 @@ class SparseFaultPlan final : public fl::AvailabilityOracle {
   std::vector<std::uint8_t> is_straggler_;
   // Lazy per-entity replay cursors (mutable: queries are logically const
   // and, per the oracle contract, serial).
-  mutable std::unordered_map<std::size_t, WorkerCursor> worker_cursors_;
+  mutable std::unordered_map<std::size_t, detail::WorkerFaultCursor>
+      worker_cursors_;
   mutable std::unordered_map<std::size_t, EdgeCursor> edge_cursors_;
 };
 

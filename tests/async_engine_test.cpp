@@ -4,15 +4,15 @@
 //   1. Sync bit-identity: evt::AsyncEngine with the sync policy reproduces
 //      fl::Engine exactly — curve, final parameters, participation trace and
 //      obs counters — for every registry algorithm, with and without a fault
-//      schedule, at any thread count. The event replay is the correctness
+//      schedule, at any thread count. The sync policy is the correctness
 //      anchor of the whole subsystem.
 //   2. Event-mode determinism: semi_async and async runs are pure functions
 //      of the seeds. Identical seeds give identical curves, parameters and
 //      staleness metrics at 1 and 4 threads, with and without faults.
 //
-// Also covered: the deterministic (time, seq) event queue, fault_transitions
-// extraction, the async RunConfig validation rules, the stale_sync default
-// policy, and Gauge::set_max.
+// Also covered: the deterministic (time, seq) event queue, the async
+// RunConfig validation rules, the stale_sync default policy, and
+// Gauge::set_max.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -66,42 +66,6 @@ TEST(EventQueueTest, RejectsEventsScheduledInThePast) {
   // Exactly "now" is legal (zero-latency follow-up events).
   q.push({1.0, 0, EventType::kWorkerReady, 0, 0, false, false});
   EXPECT_EQ(q.size(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// fault_transitions
-// ---------------------------------------------------------------------------
-
-TEST(FaultTransitionsTest, DiffsScheduleInDeterministicOrder) {
-  fl::ParticipationSchedule s;
-  s.num_intervals = 3;
-  s.num_workers = 2;
-  s.num_edges = 1;
-  // Worker 1 starts down, recovers at k=2; worker 0 fails at k=3; the edge
-  // goes dark at k=2 and stays dark.
-  s.worker_up = {1, 0, /*k2*/ 1, 1, /*k3*/ 0, 1};
-  s.edge_up = {1, /*k2*/ 0, /*k3*/ 0};
-  s.slowdown.assign(s.num_intervals * s.num_workers, 1.0);
-
-  const std::vector<sim::FaultTransition> tr = sim::fault_transitions(s);
-  ASSERT_EQ(tr.size(), 4u);
-  // (interval, workers before edges, ascending id); everyone up before k=1.
-  EXPECT_EQ(tr[0].interval, 1u);
-  EXPECT_FALSE(tr[0].is_edge);
-  EXPECT_EQ(tr[0].id, 1u);
-  EXPECT_FALSE(tr[0].up);
-  EXPECT_EQ(tr[1].interval, 2u);
-  EXPECT_FALSE(tr[1].is_edge);
-  EXPECT_EQ(tr[1].id, 1u);
-  EXPECT_TRUE(tr[1].up);
-  EXPECT_EQ(tr[2].interval, 2u);
-  EXPECT_TRUE(tr[2].is_edge);
-  EXPECT_EQ(tr[2].id, 0u);
-  EXPECT_FALSE(tr[2].up);
-  EXPECT_EQ(tr[3].interval, 3u);
-  EXPECT_FALSE(tr[3].is_edge);
-  EXPECT_EQ(tr[3].id, 0u);
-  EXPECT_FALSE(tr[3].up);
 }
 
 // ---------------------------------------------------------------------------

@@ -316,6 +316,8 @@ TEST(AdaptiveGammaTest, StaysInClampRangeDuringTraining) {
       inner.edge_sync(ctx, e, k);
       gammas.push_back(e.gamma_edge);
     }
+    // `gammas` is an unsynchronized member: edges must sync one at a time.
+    bool edge_sync_reentrant() const override { return false; }
     void cloud_sync(fl::Context& ctx, std::size_t p) override {
       inner.cloud_sync(ctx, p);
     }

@@ -10,14 +10,14 @@
 //     (which shifts elements between SIMD body and scalar tail) must not
 //     change a single bit.
 //
-//   * Participation::set_cohort_roster must equal the dense set_roster on
-//     the equivalent population-sized arrays bitwise — every renormalized
-//     weight visits the same members in the same order — including when the
-//     sparse and dense entry points interleave on one object.
+//   * Participation::set_cohort_roster must equal a naive per-edge and
+//     global renormalization over the active workers, summed in ascending
+//     order, bitwise — for sampled cohorts, the full-population cohort of
+//     dense runs, and with set_edge_roster calls interleaved on one object.
 //
 //   * The engine's miss accounting is derived at finalize from per-interval
-//     participation tallies; a dense per-interval Participation sweep over
-//     the same fault-zoo schedule is the oracle it must match exactly.
+//     participation tallies; counting misses straight off the fault-zoo
+//     schedule is the oracle it must match exactly.
 //
 //   * Sampled virtualized runs with kReset/kDecay absent policies replay the
 //     policy per missed interval at restore (src/pop/cohort_store.h); a
@@ -234,110 +234,181 @@ void expect_identical(const RunResult& a, const RunResult& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Sparse roster vs dense set_roster.
+// Roster builder vs a naive renormalization.
 // ---------------------------------------------------------------------------
 
-void expect_same_view(const Participation& a, const Participation& b,
-                      const Topology& topo) {
-  ASSERT_EQ(a.num_workers(), b.num_workers());
-  EXPECT_EQ(a.num_active(), b.num_active());
-  for (std::size_t w = 0; w < a.num_workers(); ++w) {
-    EXPECT_EQ(a.worker_active(w), b.worker_active(w)) << "worker " << w;
-    // Weights are only defined for active workers: the dense rebuild leaves
-    // stale in-edge weights on workers that went inactive (never read),
-    // while the sparse path restores its all-absent baseline.
-    if (!a.worker_active(w)) continue;
-    EXPECT_EQ(a.weight_in_edge(w), b.weight_in_edge(w)) << "worker " << w;
-    EXPECT_EQ(a.weight_global(w), b.weight_global(w)) << "worker " << w;
+// What a roster view must hold, computed the obvious way: every mass sum
+// walks its members in ascending order.
+struct RefView {
+  std::vector<std::uint8_t> active, edge_active;
+  std::vector<Scalar> in_edge, global, edge_weight;
+  std::vector<std::vector<WorkerId>> rosters;
+  std::size_t num_active = 0;
+};
+
+// Three-tier roster: worker w is active iff it is a cohort member marked up
+// and its edge is up; an edge is active iff it is up and keeps a survivor.
+RefView reference_roster(const Topology& topo,
+                         const std::vector<Scalar>& base,
+                         const std::vector<WorkerId>& cohort,
+                         const std::vector<std::uint8_t>& cohort_up,
+                         const std::vector<std::uint8_t>& edge_up,
+                         const std::vector<Scalar>* scale) {
+  const std::size_t n = topo.num_workers();
+  const std::size_t l = topo.num_edges();
+  RefView v;
+  v.active.assign(n, 0);
+  v.in_edge.assign(n, 0.0);
+  v.global.assign(n, 0.0);
+  v.edge_active.assign(l, 0);
+  v.edge_weight.assign(l, 0.0);
+  v.rosters.resize(l);
+  std::vector<Scalar> mass(n, 0.0);
+  for (std::size_t i = 0; i < cohort.size(); ++i) {
+    const WorkerId w = cohort[i];
+    mass[w] = base[w] * (scale == nullptr ? 1.0 : (*scale)[i]);
+    v.active[w] = cohort_up[i] && edge_up[topo.edge_of_worker(w)] ? 1 : 0;
+  }
+  std::vector<Scalar> edge_mass(l, 0.0);
+  Scalar edge_total = 0, worker_total = 0;
+  for (std::size_t e = 0; e < l; ++e) {
+    for (const WorkerId w : topo.workers_of_edge(e)) {
+      if (!v.active[w]) continue;
+      v.rosters[e].push_back(w);
+      edge_mass[e] += mass[w];
+    }
+    v.edge_active[e] = edge_up[e] && !v.rosters[e].empty() ? 1 : 0;
+    for (const WorkerId w : v.rosters[e]) v.in_edge[w] = mass[w] / edge_mass[e];
+    if (v.edge_active[e]) edge_total += edge_mass[e];
+  }
+  for (std::size_t w = 0; w < n; ++w) {
+    if (v.active[w]) worker_total += mass[w];
+    v.num_active += v.active[w];
+  }
+  for (std::size_t w = 0; w < n; ++w) {
+    if (v.active[w]) v.global[w] = mass[w] / worker_total;
+  }
+  for (std::size_t e = 0; e < l; ++e) {
+    if (v.edge_active[e]) v.edge_weight[e] = edge_mass[e] / edge_total;
+  }
+  return v;
+}
+
+// Edge-only roster: no worker is active; up edges share the global weight
+// by their static data mass.
+RefView reference_edge_roster(const Topology& topo,
+                              const std::vector<Scalar>& base,
+                              const std::vector<std::uint8_t>& edge_up) {
+  RefView v = reference_roster(topo, base, {}, {}, edge_up, nullptr);
+  std::vector<Scalar> edge_mass(topo.num_edges(), 0.0);
+  Scalar total = 0;
+  for (std::size_t e = 0; e < topo.num_edges(); ++e) {
+    for (const WorkerId w : topo.workers_of_edge(e)) edge_mass[e] += base[w];
+    v.edge_active[e] = edge_up[e];
+    if (edge_up[e]) total += edge_mass[e];
   }
   for (std::size_t e = 0; e < topo.num_edges(); ++e) {
-    EXPECT_EQ(a.edge_active(e), b.edge_active(e)) << "edge " << e;
-    EXPECT_EQ(a.edge_weight_global(e), b.edge_weight_global(e)) << "edge " << e;
-    EXPECT_EQ(a.active_workers_of_edge(e), b.active_workers_of_edge(e))
-        << "edge " << e;
+    v.edge_weight[e] = edge_up[e] ? edge_mass[e] / total : 0.0;
+  }
+  return v;
+}
+
+void expect_view(const Participation& p, const RefView& ref,
+                 const Topology& topo) {
+  ASSERT_EQ(p.num_workers(), ref.active.size());
+  EXPECT_EQ(p.num_active(), ref.num_active);
+  for (std::size_t w = 0; w < p.num_workers(); ++w) {
+    EXPECT_EQ(p.worker_active(w), ref.active[w] != 0) << "worker " << w;
+    EXPECT_EQ(p.weight_in_edge(w), ref.in_edge[w]) << "worker " << w;
+    EXPECT_EQ(p.weight_global(w), ref.global[w]) << "worker " << w;
+  }
+  for (std::size_t e = 0; e < topo.num_edges(); ++e) {
+    EXPECT_EQ(p.edge_active(e), ref.edge_active[e] != 0) << "edge " << e;
+    EXPECT_EQ(p.edge_weight_global(e), ref.edge_weight[e]) << "edge " << e;
+    EXPECT_EQ(p.active_workers_of_edge(e), ref.rosters[e]) << "edge " << e;
   }
 }
 
-TEST(SparseRosterTest, MatchesDenseSetRosterBitwise) {
+TEST(SparseRosterTest, MatchesNaiveRenormalizationBitwise) {
   const Topology topo = Topology::uniform(4, 16);
   const std::size_t N = topo.num_workers();
   std::vector<Scalar> weights(N);
   Rng rng(77);
   for (Scalar& w : weights) w = 1.0 + 10.0 * rng.uniform();
 
-  Participation sparse(topo, nullptr, weights, /*edge_faults=*/true);
-  Participation dense(topo, nullptr, weights, /*edge_faults=*/true);
+  Participation part(topo, weights, /*edge_faults=*/true);
 
   std::vector<WorkerId> cohort;
-  std::vector<std::uint8_t> cohort_up, worker_up(N), edge_up(topo.num_edges());
-  std::vector<Scalar> cohort_scale, dense_scale(N);
+  std::vector<std::uint8_t> cohort_up, edge_up(topo.num_edges());
+  std::vector<Scalar> cohort_scale;
   for (std::size_t round = 0; round < 12; ++round) {
-    // Random ascending cohort (~1/4 of the population), random up bits,
-    // random with-replacement-style multiplicities, random edge outages.
+    // Random ascending cohort (~1/4 of the population) with random up bits
+    // and with-replacement-style multiplicities — except round 5, the
+    // full-population cohort of a dense run (unscaled). Random edge
+    // outages throughout.
+    const bool full = round == 5;
     cohort.clear();
     cohort_up.clear();
     cohort_scale.clear();
-    std::fill(worker_up.begin(), worker_up.end(), 0);
-    std::fill(dense_scale.begin(), dense_scale.end(), 1.0);
     for (std::size_t w = 0; w < N; ++w) {
-      if (rng.uniform() > 0.25) continue;
+      if (!full && rng.uniform() > 0.25) continue;
       const bool up = rng.uniform() < 0.8;
-      const Scalar mult = 1.0 + static_cast<Scalar>(rng.next_u64() % 3);
       cohort.push_back(w);
       cohort_up.push_back(up ? 1 : 0);
-      cohort_scale.push_back(mult);
-      worker_up[w] = up ? 1 : 0;
-      dense_scale[w] = mult;
+      cohort_scale.push_back(1.0 + static_cast<Scalar>(rng.next_u64() % 3));
     }
     if (cohort.empty()) {
       cohort.push_back(0);
       cohort_up.push_back(1);
       cohort_scale.push_back(1.0);
-      worker_up[0] = 1;
     }
     for (std::size_t e = 0; e < edge_up.size(); ++e) {
       edge_up[e] = rng.uniform() < 0.85 ? 1 : 0;
     }
+    const std::vector<Scalar>* scale = full ? nullptr : &cohort_scale;
 
     SCOPED_TRACE("round " + std::to_string(round));
-    sparse.set_cohort_roster(cohort, cohort_up, edge_up, &cohort_scale);
-    dense.set_roster(worker_up, edge_up, &dense_scale);
-    expect_same_view(sparse, dense, topo);
+    part.set_cohort_roster(cohort, cohort_up, edge_up, scale);
+    expect_view(part,
+                reference_roster(topo, weights, cohort, cohort_up, edge_up,
+                                 scale),
+                topo);
 
-    // Interleave forms on the SAME object mid-sequence: the sparse state
-    // must rebuild its baseline after a dense call.
-    if (round == 5) {
-      sparse.set_roster(worker_up, edge_up, &dense_scale);
-      expect_same_view(sparse, dense, topo);
+    // Interleave edge-only rosters on the SAME object (the event-driven
+    // cloud fold): the next cohort roster must restore its baseline.
+    if (round % 4 == 3) {
+      part.set_edge_roster(edge_up);
+      expect_view(part, reference_edge_roster(topo, weights, edge_up), topo);
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Incremental miss accounting vs a dense per-interval sweep.
+// Incremental miss accounting vs the schedule.
 // ---------------------------------------------------------------------------
 
-TEST(MissAccountingTest, MatchesDensePerIntervalSweep) {
+TEST(MissAccountingTest, MatchesScheduleMissCounts) {
   Fixture f;
   const sim::FaultPlan plan(f.topo, f.cfg, fault_zoo());
   const ParticipationSchedule& schedule = plan.schedule();
 
   auto alg = algs::make_algorithm("HierAdMo");
+  ASSERT_TRUE(alg->three_tier());
   RunConfig cfg = f.cfg;
   cfg.num_threads = 2;
   Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
   const RunResult r = engine.run(*alg, &schedule);
 
-  // Oracle: replay the schedule through a fresh Participation and count
-  // absences with the per-interval sweep the engine no longer runs.
-  std::vector<Scalar> ones(f.topo.num_workers(), 1.0);
-  Participation sweep(f.topo, &schedule, ones, /*edge_faults=*/true);
+  // Oracle: a worker misses interval k when it is down, or (three-tier)
+  // when its edge is down.
   std::vector<std::size_t> expected(f.topo.num_workers(), 0);
   const std::size_t intervals = f.cfg.total_iterations / f.cfg.tau;
   for (std::size_t k = 1; k <= intervals; ++k) {
-    sweep.begin_interval(k);
     for (std::size_t w = 0; w < expected.size(); ++w) {
-      if (!sweep.worker_active(w)) ++expected[w];
+      if (!schedule.worker_available(k, w) ||
+          !schedule.edge_available(k, f.topo.edge_of_worker(w))) {
+        ++expected[w];
+      }
     }
   }
   EXPECT_EQ(r.worker_miss_counts, expected);
