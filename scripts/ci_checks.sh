@@ -39,9 +39,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 # Concurrency repeat gate: the multi-threaded tests again, 20 times each,
 # stopping at the first failure. A scheduling race that fails one run in
 # ten (a pool completion handshake, an unsynchronized test spy) passes a
-# single ctest pass but not this.
+# single ctest pass but not this. The pop suites are here because cohort
+# turnover reads the spill slab and recycles worker state inside pool
+# tasks.
 ctest --test-dir "$BUILD_DIR" --output-on-failure --repeat until-fail:20 \
-  -R '^(thread_pool_test|engine_schedule_test|integration_test|async_engine_test)$'
+  -R '^(thread_pool_test|engine_schedule_test|integration_test|async_engine_test|pop_test|pop_parity_test)$'
 
 # --- gate 2: ASan + UBSan -------------------------------------------------
 cmake -B "$ASAN_DIR" -S . \

@@ -61,6 +61,13 @@ Participation::Participation(const Topology& topo,
   weight_in_edge_.assign(n, 0.0);
   weight_global_.assign(n, 0.0);
   edge_weight_.assign(l, 0.0);
+  // Static per-edge data masses, summed in ascending member order.
+  edge_mass_.assign(l, 0.0);
+  for (std::size_t e = 0; e < l; ++e) {
+    for (const WorkerId w : topo.workers_of_edge(e)) {
+      edge_mass_[e] += base_weight_[w];
+    }
+  }
 }
 
 void Participation::clear_cohort() {
@@ -161,16 +168,11 @@ void Participation::set_edge_roster(const std::vector<std::uint8_t>& edge_up) {
   for (std::size_t e = 0; e < l; ++e) {
     active_of_edge_[e].clear();
     edge_active_[e] = edge_up[e] != 0 ? 1 : 0;
-    Scalar edge_mass = 0;
-    for (const WorkerId w : topo_->workers_of_edge(e)) {
-      edge_mass += base_weight_[w];
-    }
-    edge_weight_[e] = edge_mass;  // provisional; normalized below
-    if (edge_active_[e]) global_mass += edge_mass;
+    if (edge_active_[e]) global_mass += edge_mass_[e];
   }
   for (std::size_t e = 0; e < l; ++e) {
     edge_weight_[e] = edge_active_[e] && global_mass > 0
-                          ? edge_weight_[e] / global_mass
+                          ? edge_mass_[e] / global_mass
                           : 0.0;
   }
 }

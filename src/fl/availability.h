@@ -200,6 +200,7 @@ class Participation {
   Scalar decay_ = 0.5;
 
   std::vector<Scalar> base_weight_;  // per-worker sample mass D_i
+  std::vector<Scalar> edge_mass_;    // per-edge sample mass D_ℓ (static)
   std::vector<Scalar> mass_;         // effective mass this roster (D_i·scale)
   std::vector<std::uint8_t> active_;
   std::vector<std::uint8_t> edge_active_;

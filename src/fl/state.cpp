@@ -73,6 +73,13 @@ void WorkerState::reset_interval_accumulators() {
   vec::fill(sum_v, 0.0);
 }
 
+void WorkerState::clear_transients() {
+  pending_grad_at_ = nullptr;
+  batch_x_.resize({0});
+  batch_y_.clear();
+  batch_rows_.clear();
+}
+
 namespace {
 
 // Gather scratch for the fused aggregation below: pointer + weight arrays

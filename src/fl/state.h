@@ -95,6 +95,12 @@ struct WorkerState {
 
   void reset_interval_accumulators();
 
+  // Drop the per-step transients, keeping their capacity: an unconsumed
+  // prefetched gradient and the batch scratch. A recycled state (the
+  // population subsystem reuses departed workers' states) then carries
+  // nothing of its previous holder beyond what the caller overwrites.
+  void clear_transients();
+
  private:
   Tensor batch_x_;
   std::vector<std::size_t> batch_y_;

@@ -414,16 +414,11 @@ void CohortModel::run_tile(std::size_t t, std::size_t ilo, std::size_t ihi,
     }
   }
 
-  // The loss gradient (B × classes, small) is a fresh tensor on every tile
-  // run, on purpose. Reusing it was measured to slow pop_revisit by about
-  // 8 %: it is the one per-step allocation the logistic cohort makes on the
-  // pool threads, and without it the cohort store's per-worker vectors
-  // land less compactly in malloc's arenas, so the spill/restore passes
-  // that walk them slow down. Stage input gradients, which are
-  // activation-sized, alternate between the tile's two reused buffers.
-  Tensor loss_grad;
-  loss_stage(acts[stages_.size()], loss_grad, items, ilo, ihi);
-  const Tensor* g = &loss_grad;
+  // The loss gradient lands in the tile's second gradient buffer; stage
+  // input gradients then alternate between the two, starting with the
+  // first, so no stage writes the buffer it reads.
+  loss_stage(acts[stages_.size()], grads[1], items, ilo, ihi);
+  const Tensor* g = &grads[1];
   std::size_t cur = 0;
 
   // Backward stops at the first parametric stage: everything before it is

@@ -155,8 +155,8 @@ class CohortModel {
   // Per-run state. row_off_ holds global prefix sums of item batch sizes;
   // tile slots (probe + activation and gradient scratch) are reused across
   // runs: every stage, pass stages included, writes its output into
-  // tile_acts_, and stage input gradients alternate between the slot's two
-  // tile_grads_ buffers.
+  // tile_acts_, and the loss gradient and stage input gradients alternate
+  // between the slot's two tile_grads_ buffers.
   std::vector<std::size_t> row_off_;
   std::vector<std::unique_ptr<Model>> tile_probes_;
   std::vector<std::vector<Tensor>> tile_acts_;

@@ -1,6 +1,10 @@
 #include "src/pop/slab.h"
 
-#include <cstdio>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <climits>
 
 #include "src/common/errors.h"
 
@@ -14,11 +18,9 @@ Slab::Slab(SlabConfig cfg) : cfg_(std::move(cfg)) {
 }
 
 void Slab::open_file() {
-  if (file_.is_open()) file_.close();
   // Truncate: a slab never outlives the run that filled it.
-  file_.open(cfg_.path, std::ios::binary | std::ios::in | std::ios::out |
-                            std::ios::trunc);
-  HFL_CHECK(file_.is_open(), "cannot open slab spill file " + cfg_.path);
+  file_.reset(std::fopen(cfg_.path.c_str(), "w+b"));
+  HFL_CHECK(file_ != nullptr, "cannot open slab spill file " + cfg_.path);
   file_end_ = 0;
 }
 
@@ -29,43 +31,93 @@ void Slab::clear() {
   bytes_ = 0;
   peak_bytes_ = 0;
   bytes_written_ = 0;
-  bytes_read_ = 0;
 }
 
-void Slab::put(std::uint32_t id, const std::vector<char>& blob) {
-  bytes_written_ += blob.size();
+void Slab::put(std::span<const std::uint32_t> ids,
+               std::span<const std::vector<char>> blobs) {
+  HFL_CHECK(ids.size() == blobs.size(), "slab put: one blob per id");
   if (cfg_.backend == SlabConfig::Backend::kMemory) {
-    auto& slot = blobs_[id];
-    bytes_ -= slot.size();
-    slot = blob;
-    bytes_ += slot.size();
-    index_[id] = {0, static_cast<std::uint64_t>(blob.size())};
-  } else {
-    // Append-only: a rewrite abandons the old extent (dead space is the
-    // cost of never seeking backwards on the write path).
-    file_.seekp(static_cast<std::streamoff>(file_end_));
-    file_.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    HFL_CHECK(file_.good(), "slab spill write failed: " + cfg_.path);
-    index_[id] = {file_end_, static_cast<std::uint64_t>(blob.size())};
-    file_end_ += blob.size();
-    bytes_ = file_end_;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const std::vector<char>& blob = blobs[i];
+      auto& slot = blobs_[ids[i]];
+      bytes_ -= slot.size();
+      slot = blob;
+      bytes_ += slot.size();
+      index_[ids[i]] = {0, static_cast<std::uint64_t>(blob.size())};
+      bytes_written_ += blob.size();
+      peak_bytes_ = std::max(peak_bytes_, bytes_);
+    }
+    return;
   }
-  if (bytes_ > peak_bytes_) peak_bytes_ = bytes_;
+
+  // Append-only: a rewrite abandons the old extent (dead space is the cost
+  // of never seeking backwards on the write path). Extents are assigned in
+  // argument order, so the file layout is deterministic.
+  const std::uint64_t start = file_end_;
+  iov_.clear();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::vector<char>& blob = blobs[i];
+    index_[ids[i]] = {file_end_, static_cast<std::uint64_t>(blob.size())};
+    file_end_ += blob.size();
+    if (!blob.empty()) {
+      iov_.push_back({const_cast<char*>(blob.data()), blob.size()});
+    }
+  }
+  // One gathered write per IOV_MAX blobs; a short write resumes at the
+  // first byte the kernel did not take.
+  std::uint64_t offset = start;
+  std::size_t first = 0;
+  while (first < iov_.size()) {
+    const int count = static_cast<int>(
+        std::min<std::size_t>(iov_.size() - first, IOV_MAX));
+    const ssize_t n = ::pwritev(::fileno(file_.get()), iov_.data() + first,
+                                count, static_cast<off_t>(offset));
+    if (n < 0 && errno == EINTR) continue;
+    HFL_CHECK(n > 0, "slab spill write failed: " + cfg_.path);
+    offset += static_cast<std::uint64_t>(n);
+    auto left = static_cast<std::size_t>(n);
+    while (left > 0 && left >= iov_[first].iov_len) {
+      left -= iov_[first].iov_len;
+      ++first;
+    }
+    if (left > 0) {
+      iov_[first].iov_base = static_cast<char*>(iov_[first].iov_base) + left;
+      iov_[first].iov_len -= left;
+    }
+  }
+  bytes_written_ += file_end_ - start;
+  bytes_ = file_end_;
+  peak_bytes_ = std::max(peak_bytes_, bytes_);
 }
 
-void Slab::get(std::uint32_t id, std::vector<char>& out) {
+const Slab::Extent& Slab::extent(std::uint32_t id) const {
   const auto it = index_.find(id);
   HFL_CHECK(it != index_.end(),
             "worker " + std::to_string(id) + " has no spilled state");
-  out.resize(it->second.length);
-  bytes_read_ += it->second.length;
+  return it->second;
+}
+
+std::uint64_t Slab::length(std::uint32_t id) const {
+  return extent(id).length;
+}
+
+void Slab::get(std::uint32_t id, std::vector<char>& out) const {
+  const Extent& e = extent(id);
   if (cfg_.backend == SlabConfig::Backend::kMemory) {
     const auto& blob = blobs_.at(id);
     out.assign(blob.begin(), blob.end());
-  } else {
-    file_.seekg(static_cast<std::streamoff>(it->second.offset));
-    file_.read(out.data(), static_cast<std::streamsize>(out.size()));
-    HFL_CHECK(file_.good(), "slab spill read failed: " + cfg_.path);
+    return;
+  }
+  out.resize(e.length);
+  std::size_t done = 0;
+  while (done < out.size()) {
+    const ssize_t n = ::pread(::fileno(file_.get()), out.data() + done,
+                              out.size() - done,
+                              static_cast<off_t>(e.offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    // 0 is end of file before the extent ends: the spill file was cut.
+    HFL_CHECK(n > 0, "slab spill read failed: " + cfg_.path);
+    done += static_cast<std::size_t>(n);
   }
 }
 
