@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -134,7 +135,9 @@ int main() {
     for (auto& v : workers[i].x) v = wrng.normal();
   }
   const int reps = 20;
-  const fl::WorkerSet worker_set(&workers);
+  std::vector<std::uint32_t> slots(workers.size());
+  std::iota(slots.begin(), slots.end(), std::uint32_t{0});
+  const fl::WorkerSet worker_set(&workers, workers.size(), &slots);
   Vec out_serial, out_parallel;
   auto t0 = std::chrono::steady_clock::now();
   for (int r = 0; r < reps; ++r) {

@@ -32,9 +32,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # refresh) and charge-exactly-once comm accounting; FaultPlan ≡
 # SparseFaultPlan and fault-trace determinism; the one roster builder
 # against a naive renormalization and the schedule's miss counts;
-# virtualized ≡ dense runs; parallel ≡ serial sync.
+# virtualized ≡ dense runs; parallel ≡ serial sync; and the engine's
+# built-in full-cohort provider (batched ≡ per-worker gradients, the data
+# weights and initial state, end-to-end training runs).
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R '^(async_engine_test|evt_versioning_test|pop_test|pop_parity_test|param_plane_test|sim_test|parallel_sync_test)$'
+  -R '^(async_engine_test|evt_versioning_test|pop_test|pop_parity_test|param_plane_test|sim_test|parallel_sync_test|batched_parity_test|engine_weights_test|integration_test)$'
 
 # Concurrency repeat gate: the multi-threaded tests again, 20 times each,
 # stopping at the first failure. A scheduling race that fails one run in

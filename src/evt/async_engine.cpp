@@ -1000,7 +1000,7 @@ fl::RunResult AsyncEngine::run_event_driven(fl::Algorithm& alg,
   const std::size_t W = engine_.topo_.num_workers();
   const std::size_t E = engine_.topo_.num_edges();
   er.mpart = std::make_unique<fl::Participation>(
-      engine_.topo_, engine_.base_weights(), er.three_tier);
+      engine_.topo_, engine_.provider_->base_weights(), er.three_tier);
   if (er.schedule != nullptr) {
     er.mpart->set_absent_policy(er.schedule->absent_policy,
                                 er.schedule->absent_decay);

@@ -64,13 +64,13 @@ class Algorithm {
   // `ctx.workers` holds just the first interval's cohort here.
   virtual void init(Context& ctx) { (void)ctx; }
 
-  // Per-worker setup hook. The dense engine calls it once per worker in
-  // ascending id order right after init(); the virtualized engine calls it
-  // when a worker is materialized for the first time (its state is exactly
-  // the dense post-init state: x = y = x0, zero accumulators, fresh
-  // streams). Must derive everything from the worker's own state/streams and
-  // population-level values — never from which other workers exist — so both
-  // call schedules produce bit-identical worker state.
+  // Per-worker setup hook, called when a worker is materialized for the
+  // first time — with a full cohort, once per worker in ascending id order
+  // right after init(); under cohort sampling, when the worker is first
+  // sampled. Its state is then fresh (init_worker_state: x = y = x0, zero
+  // accumulators, fresh streams). Must derive everything from the worker's
+  // own state/streams and population-level values — never from which other
+  // workers exist — so both call schedules produce bit-identical state.
   virtual void init_worker(Context& ctx, WorkerState& w) {
     (void)ctx;
     (void)w;

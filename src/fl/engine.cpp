@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <numeric>
 
 #include "src/common/logging.h"
@@ -13,6 +12,36 @@
 
 namespace hfl::fl {
 
+void Engine::FullCohort::begin_run(const Vec& x0) {
+  if (!pop_) {
+    pop_.emplace(e_.topo_, e_.partition_);
+    slot_of_id_.resize(population());
+    std::iota(slot_of_id_.begin(), slot_of_id_.end(), std::uint32_t{0});
+  }
+  x0_ = x0;
+  states_.clear();
+  states_.resize(population());
+  for (WorkerState& w : states_) {
+    w.model = e_.factory_();
+    w.batcher = std::make_unique<data::Batcher>();
+    w.aux_batcher = std::make_unique<data::Batcher>();
+  }
+}
+
+std::vector<WorkerId> Engine::FullCohort::set_cohort(
+    const std::vector<WorkerId>& ids) {
+  HFL_CHECK(ids.size() == states_.size(), "a full cohort lists every worker");
+  // Serial on purpose: states initialized on pool threads land in those
+  // threads' malloc arenas, which raised perfbench async_straggler's peak
+  // RSS by 6 % on a 4-core host with no run-time gain.
+  const Rng root(e_.cfg_.seed);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    init_worker_state(states_[i], static_cast<WorkerId>(i), *pop_, x0_, root,
+                      e_.data_->train, e_.partition_, e_.cfg_.batch_size);
+  }
+  return ids;
+}
+
 Engine::Engine(nn::ModelFactory factory, const data::TrainTest& data,
                data::Partition partition, Topology topo, RunConfig cfg)
     : factory_(std::move(factory)),
@@ -20,16 +49,6 @@ Engine::Engine(nn::ModelFactory factory, const data::TrainTest& data,
       partition_(std::move(partition)),
       topo_(std::move(topo)),
       cfg_(cfg) {
-  // Runtime switches for the fused cohort path, applied before validation so
-  // HFL_MIXED_PRECISION=1 HFL_BATCHED=0 fails with the config error instead
-  // of silently ignoring one flag.
-  const auto env_flag = [](const char* name, bool& flag) {
-    if (const char* v = std::getenv(name)) {
-      flag = !(v[0] == '0' && v[1] == '\0');
-    }
-  };
-  env_flag("HFL_BATCHED", cfg_.batched);
-  env_flag("HFL_MIXED_PRECISION", cfg_.mixed_precision);
   cfg_.validate();
   HFL_CHECK(cfg_.policy == ExecPolicy::kSync,
             std::string("fl::Engine only executes the sync policy; policy = ") +
@@ -94,7 +113,7 @@ void Engine::prefetch_cohort_gradients(Algorithm& alg, Context& ctx,
   }
 }
 
-void Engine::build_states(RunState& rs) {
+std::vector<Scalar> Engine::build_states(RunState& rs) {
   Rng root(cfg_.seed);
   Rng init_rng = root.fork(0x1217);
 
@@ -103,35 +122,26 @@ void Engine::build_states(RunState& rs) {
   init_model->init_params(init_rng);
   const Vec x0 = init_model->get_params();
 
-  // Data-size weights.
-  std::size_t total_samples = 0;
-  std::vector<std::size_t> edge_samples(topo_.num_edges(), 0);
-  for (std::size_t w = 0; w < topo_.num_workers(); ++w) {
-    total_samples += partition_[w].size();
-    edge_samples[topo_.edge_of_worker(w)] += partition_[w].size();
-  }
+  // Algorithm::init and init_worker run in open_interval, once the first
+  // cohort is materialized. The view's internal pointers track the
+  // provider's containers across cohort changes.
+  provider_->begin_run(x0);
+  rs.workers = provider_->workers();
 
-  // Algorithm::init and init_worker run in open_interval: a virtualized
-  // run needs its first cohort materialized first.
-  if (provider_ != nullptr) {
-    // Virtualized run: the provider owns worker-state lifetime; the engine
-    // keeps only the id-addressed view (its internal pointers track the
-    // provider's containers across cohort changes).
-    provider_->begin_run(x0);
-    rs.worker_pool.clear();
-    rs.workers = provider_->workers();
-  } else {
-    build_dense_workers(rs, x0, edge_samples, total_samples);
-  }
-
+  // Edge weights D_ℓ/D from the provider's data masses D_i: integer sample
+  // counts, so the sums are exact (the descriptor table's integer sums).
+  std::vector<Scalar> base = provider_->base_weights();
+  const Scalar total = std::accumulate(base.begin(), base.end(), Scalar{0});
   std::vector<EdgeState>& edges = rs.edges;
   edges.clear();
   edges.resize(topo_.num_edges());
   for (std::size_t e = 0; e < edges.size(); ++e) {
     EdgeState& es = edges[e];
     es.id = e;
-    es.weight_global = static_cast<Scalar>(edge_samples[e]) /
-                       static_cast<Scalar>(total_samples);
+    for (const WorkerId w : topo_.workers_of_edge(e)) {
+      es.weight_global += base[w];
+    }
+    es.weight_global /= total;
     es.x_plus = x0;
     es.y_plus = x0;
     es.y_minus = x0;
@@ -141,45 +151,7 @@ void Engine::build_states(RunState& rs) {
   rs.cloud.x = x0;
   rs.cloud.y = x0;
   rs.cloud.extra.clear();
-}
-
-void Engine::build_dense_workers(RunState& rs, const Vec& x0,
-                                 const std::vector<std::size_t>& edge_samples,
-                                 std::size_t total_samples) {
-  const std::size_t n = x0.size();
-  Rng root(cfg_.seed);
-  root.fork(0x1217);  // skip the init-model stream: workers are forks 2+i
-
-  std::vector<WorkerState>& workers = rs.worker_pool;
-  workers.clear();
-  workers.resize(topo_.num_workers());
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    WorkerState& w = workers[i];
-    w.id = static_cast<WorkerId>(i);
-    w.edge = topo_.edge_of_worker(i);
-    w.num_samples = partition_[i].size();
-    w.weight_in_edge = static_cast<Scalar>(w.num_samples) /
-                       static_cast<Scalar>(edge_samples[w.edge]);
-    w.weight_global = static_cast<Scalar>(w.num_samples) /
-                      static_cast<Scalar>(total_samples);
-    w.x = x0;
-    w.y = x0;
-    w.v.assign(n, 0.0);
-    w.grad.assign(n, 0.0);
-    w.sum_grad.assign(n, 0.0);
-    w.sum_y.assign(n, 0.0);
-    w.sum_v.assign(n, 0.0);
-    w.model = factory_();
-    // The lazy materializer (src/pop/cohort_store.cpp) reproduces this exact
-    // stream derivation via fork_nth: worker i's fork is the (2+i)-th taken
-    // from root (fork 1 is the init-model stream). Keep the two in lockstep.
-    Rng wrng = root.fork(1000 + i);
-    w.batcher = std::make_unique<data::Batcher>(
-        data_->train, partition_[i], cfg_.batch_size, wrng.fork(1));
-    w.aux_batcher = std::make_unique<data::Batcher>(
-        data_->train, partition_[i], cfg_.batch_size, wrng.fork(2));
-  }
-  rs.workers = WorkerSet(&rs.worker_pool);
+  return base;
 }
 
 nn::EvalResult Engine::evaluate(const Vec& params) {
@@ -247,15 +219,6 @@ nn::EvalResult Engine::evaluate(const Vec& params) {
   return total;
 }
 
-std::vector<Scalar> Engine::base_weights() const {
-  if (provider_ != nullptr) return provider_->base_weights();
-  std::vector<Scalar> base(topo_.num_workers());
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    base[i] = static_cast<Scalar>(partition_[i].size());
-  }
-  return base;
-}
-
 void Engine::prepare_run(Algorithm& alg, const AvailabilityOracle* oracle,
                          RunState& rs) {
   if (!alg.three_tier()) {
@@ -265,7 +228,7 @@ void Engine::prepare_run(Algorithm& alg, const AvailabilityOracle* oracle,
   }
   rs.start = std::chrono::steady_clock::now();
 
-  build_states(rs);
+  std::vector<Scalar> base = build_states(rs);
 
   // Logical synchronization payloads (obs/comm.h). Everything recorded from
   // these is derived from state the simulation already computed; telemetry
@@ -282,7 +245,7 @@ void Engine::prepare_run(Algorithm& alg, const AvailabilityOracle* oracle,
   rs.edge_up_bytes = payload(comm_profile.edge_upload_vectors);
   rs.edge_down_bytes = payload(comm_profile.edge_download_vectors);
 
-  const bool sampling = provider_ != nullptr && provider_->sampling();
+  const bool sampling = provider_->sampling();
   if (sampling) {
     const std::size_t global_period = cfg_.tau * cfg_.pi;
     HFL_CHECK(cfg_.eval_every == 0 || cfg_.eval_every % global_period == 0,
@@ -297,7 +260,7 @@ void Engine::prepare_run(Algorithm& alg, const AvailabilityOracle* oracle,
                   "sampled workers; set cfg.mime_cohort_stats = true to "
                   "estimate the statistic from the cohort instead");
   }
-  if (provider_ != nullptr && oracle != nullptr) {
+  if (oracle != nullptr) {
     // Unmaterialized workers receive the policy lazily: the provider
     // stamps each spill with the interval clock and replays the policy
     // once per missed interval at restore (bit-identical to a
@@ -309,7 +272,7 @@ void Engine::prepare_run(Algorithm& alg, const AvailabilityOracle* oracle,
   // population; neither active → part stays null and the run is the exact
   // full-participation path.
   if (sampling || oracle != nullptr) {
-    rs.part = std::make_unique<Participation>(topo_, base_weights(),
+    rs.part = std::make_unique<Participation>(topo_, std::move(base),
                                               /*edge_faults=*/alg.three_tier());
     if (oracle != nullptr) {
       rs.part->set_absent_policy(oracle->absent_policy(),
@@ -333,8 +296,8 @@ void Engine::prepare_run(Algorithm& alg, const AvailabilityOracle* oracle,
 void Engine::open_interval(Algorithm& alg, RunState& rs, std::size_t k,
                            const AvailabilityOracle* oracle,
                            bool first_interval) {
-  const bool sampling = provider_ != nullptr && provider_->sampling();
-  if (provider_ != nullptr) provider_->begin_interval(k);
+  const bool sampling = provider_->sampling();
+  provider_->begin_interval(k);
   if (sampling) {
     provider_->sample_cohort(k, rs.cohort_ids, rs.cohort_mult);
   } else if (first_interval) {
@@ -344,13 +307,11 @@ void Engine::open_interval(Algorithm& alg, RunState& rs, std::size_t k,
     std::iota(rs.cohort_ids.begin(), rs.cohort_ids.end(), WorkerId{0});
     rs.cohort_mult.assign(rs.cohort_ids.size(), 1.0);
   }
-  // First-timers to initialize: a provider materializes the new cohort and
-  // reports them; a dense pool holds every worker from the start.
+  // The provider materializes the new cohort and reports its first-timers
+  // (a full cohort is materialized once, on the first interval).
   std::vector<WorkerId> fresh;
-  if (provider_ != nullptr && (sampling || first_interval)) {
+  if (sampling || first_interval) {
     fresh = provider_->set_cohort(rs.cohort_ids);
-  } else if (first_interval) {
-    fresh = rs.cohort_ids;
   }
 
   if (rs.part != nullptr) {
@@ -401,9 +362,8 @@ void Engine::run_local_steps(Algorithm& alg, RunState& rs) {
     const std::size_t active = part ? part->num_active() : rs.workers.size();
     obs::Registry::global().counter("engine.cohort.fallback_grads").add(active);
   }
-  // Dispatch over the materialized pool (== every worker in dense runs, the
-  // sampled cohort in virtualized ones); slot order is ascending-id order,
-  // so the dense dispatch is the exact pre-refactor schedule.
+  // Dispatch over the materialized pool (the whole fleet under FullCohort,
+  // the sampled cohort under a sampling store), in ascending-id slot order.
   pool_->parallel_for(rs.workers.num_materialized(), [&](std::size_t s) {
     WorkerState& w = rs.workers.slot(s);
     // A worker that will miss this interval's synchronization is offline:
@@ -504,10 +464,9 @@ void Engine::finish_interval(Algorithm& alg, RunState& rs, std::size_t k) {
     for (const EdgeState& e : rs.edges) {
       if (part->edge_active(e.id)) ++active_edges;
     }
-    // absent_sync visits materialized absent workers (== every absent worker
-    // in dense runs). Unmaterialized workers hold their spilled state, which
-    // is exactly the kHold policy — prepare_run rejects other policies for
-    // sampled runs.
+    // absent_sync visits materialized absent workers (every absent worker
+    // under FullCohort). Unmaterialized workers get the policy replayed at
+    // restore (CohortProvider::set_absent_replay).
     for (WorkerState& w : rs.workers) {
       if (part->worker_active(w.id)) continue;
       alg.absent_sync(rs.ctx, w, k);
@@ -562,33 +521,28 @@ void Engine::finalize_run(Algorithm& alg, RunState& rs) {
 }
 
 void Engine::set_cohort_provider(CohortProvider* provider) {
-  if (provider != nullptr) {
-    HFL_CHECK(provider->population() == topo_.num_workers(),
-              "cohort provider population must match the topology");
-    provider->attach_pool(pool_.get());
-  }
-  provider_ = provider;
+  CohortProvider* next = provider != nullptr ? provider : &full_;
+  HFL_CHECK(next->population() == topo_.num_workers(),
+            "cohort provider population must match the topology");
+  provider_->attach_pool(nullptr);
+  next->attach_pool(pool_.get());
+  provider_ = next;
 }
 
 RunResult Engine::run(Algorithm& alg, const ParticipationSchedule* schedule) {
   // A null or no-op schedule takes the exact fault-free path; any other
   // schedule is replayed through the oracle adapter, so dense schedules and
   // lazy oracles reach the same roster builder.
-  if (schedule == nullptr || schedule->is_noop()) return run_impl(alg, nullptr);
+  if (schedule == nullptr || schedule->is_noop()) {
+    return run_with_oracle(alg, nullptr);
+  }
   schedule->validate(topo_, cfg_);
   const ScheduleOracle oracle(*schedule);
-  return run_impl(alg, &oracle);
+  return run_with_oracle(alg, &oracle);
 }
 
 RunResult Engine::run_with_oracle(Algorithm& alg,
                                   const AvailabilityOracle* oracle) {
-  HFL_CHECK(provider_ != nullptr,
-            "run_with_oracle requires an attached cohort provider "
-            "(set_cohort_provider)");
-  return run_impl(alg, oracle);
-}
-
-RunResult Engine::run_impl(Algorithm& alg, const AvailabilityOracle* oracle) {
   const obs::Span run_span("run:" + alg.name(), "engine");
 
   RunState rs;

@@ -20,6 +20,10 @@
 // model and identical batch streams. That is exactly the experimental setup
 // of the paper's Table II (all algorithms from one initialization).
 //
+// Worker state: every run materializes its workers through a
+// CohortProvider — an attached population store, or else the engine's
+// built-in FullCohort, which builds the whole fleet afresh each run.
+//
 // Partial participation: `run(alg, schedule)` replays a deterministic
 // availability trace (src/fl/availability.h, generated by
 // sim::FaultPlan) through the same AvailabilityOracle interface a
@@ -35,11 +39,13 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 
 #include "src/common/thread_pool.h"
 #include "src/data/partitioner.h"
 #include "src/fl/algorithm.h"
 #include "src/fl/metrics.h"
+#include "src/fl/population.h"
 #include "src/nn/cohort.h"
 
 namespace hfl::evt {
@@ -48,12 +54,11 @@ class AsyncEngine;
 
 namespace hfl::fl {
 
-// Virtualized worker populations (implemented by pop::CohortStore,
-// src/pop/cohort_store.h). The dense engine owns every worker's state for
-// the whole run; with a provider attached it owns only the shared tiers and
-// delegates worker-state lifetime to the provider, which materializes just
-// each interval's sampled cohort and spills/restores revisited workers
-// bit-identically. The engine drives the provider strictly serially.
+// Worker-state lifetime. The engine owns only the shared tiers; a provider
+// owns the worker states: the engine's built-in Engine::FullCohort
+// materializes the whole fleet, pop::CohortStore (src/pop/cohort_store.h)
+// just each interval's sampled cohort, spilling/restoring revisited
+// workers bit-identically. The engine drives its provider serially.
 class CohortProvider {
  public:
   virtual ~CohortProvider() = default;
@@ -63,8 +68,8 @@ class CohortProvider {
   // then requires evaluation points to be cloud-aligned — a mid-interval
   // virtual-global-model eval would need every worker materialized).
   virtual bool sampling() const = 0;
-  // Per-worker data masses D_i for Participation renormalization;
-  // bit-identical to reading num_samples off dense states.
+  // Per-worker data masses D_i: Participation renormalizes them, and the
+  // engine derives the edge weights D_ℓ/D from them.
   virtual std::vector<Scalar> base_weights() const = 0;
 
   // Reset per-run state; `x0` is the run's shared initial point.
@@ -88,8 +93,9 @@ class CohortProvider {
   // Optional hooks (safe no-op defaults) -----------------------------------
   // Host thread pool for cohort-turnover parallelism (spill serialization /
   // restore deserialization). The engine attaches its own pool at
-  // set_cohort_provider; providers must stay bit-identical at any thread
-  // count (the work is per-worker and carries no cross-worker reductions).
+  // set_cohort_provider and attaches nullptr when it lets the provider go;
+  // providers must stay bit-identical at any thread count (the work is
+  // per-worker and carries no cross-worker reductions).
   virtual void attach_pool(ThreadPool* /*pool*/) {}
   // Interval clock: announced before the set_cohort call of interval k
   // (1-based). Providers stamp spilled workers with it so a restore knows
@@ -116,10 +122,7 @@ class CohortProvider {
 // the engine's determinism contracts. `ctx` holds pointers into the other
 // members: do not move a RunState after prepare_run.
 struct RunState {
-  // Dense runs own every worker's state here; virtualized runs leave it
-  // empty (the cohort store owns the materialized pool) — either way
-  // `workers` is the id-addressed view the rest of the engine reads.
-  std::vector<WorkerState> worker_pool;
+  // The provider's id-addressed view over the materialized workers.
   WorkerSet workers;
   std::vector<EdgeState> edges;
   CloudState cloud;
@@ -163,15 +166,16 @@ class Engine {
 
   // Virtualized worker populations: attach a provider (pop::CohortStore)
   // and every subsequent run materializes only each interval's cohort
-  // instead of the whole fleet. Pass nullptr to detach. The provider must
-  // outlive the engine and describe the engine's own topology/partition.
+  // instead of the whole fleet; nullptr goes back to the built-in
+  // FullCohort. The provider must describe the engine's own
+  // topology/partition and stay alive while attached; once let go it no
+  // longer holds the engine's thread pool, so it may outlive the engine.
   void set_cohort_provider(CohortProvider* provider);
 
-  // Virtualized fault-aware run: availability comes from a lazily-evaluated
-  // oracle (sim::SparseFaultPlan) instead of a dense schedule, so fault
-  // state is only ever computed for sampled workers. `oracle` may be null
-  // (full availability) and must outlive the call. Requires an attached
-  // provider (dense runs pass a schedule to run()).
+  // Fault-aware run whose availability comes from an oracle
+  // (sim::SparseFaultPlan evaluates lazily, so fault state is only ever
+  // computed for sampled workers). `oracle` may be null (full
+  // availability) and must outlive the call. Both run() overloads end here.
   RunResult run_with_oracle(Algorithm& alg, const AvailabilityOracle* oracle);
 
   const Topology& topology() const { return topo_; }
@@ -187,23 +191,48 @@ class Engine {
   // batch streams and result bookkeeping.
   friend class hfl::evt::AsyncEngine;
 
-  void build_states(RunState& rs);
-  // Dense-mode half of build_states: fill worker_pool with every worker's
-  // state and point the view at it.
-  void build_dense_workers(RunState& rs, const Vec& x0,
-                           const std::vector<std::size_t>& edge_samples,
-                           std::size_t total_samples);
-  // Per-worker data masses D_i that Participation renormalizes.
-  std::vector<Scalar> base_weights() const;
+  // The built-in provider: the whole fleet is every interval's cohort and
+  // nothing is spilled, so any absent policy reaches every worker through
+  // absent_sync. begin_run calls the factory once per worker (models are
+  // never reused across runs, so stateful layers such as nn::Dropout
+  // repeat run to run); set_cohort initializes every state with
+  // init_worker_state. The descriptor table is built by the first run.
+  class FullCohort final : public CohortProvider {
+   public:
+    explicit FullCohort(Engine& e)
+        : e_(e), view_(&states_, e.topo_.num_workers(), &slot_of_id_) {}
+    FullCohort(const FullCohort&) = delete;  // view_ points into *this
+    FullCohort& operator=(const FullCohort&) = delete;
+    std::size_t population() const override { return view_.size(); }
+    bool sampling() const override { return false; }
+    std::vector<Scalar> base_weights() const override {
+      return pop_.value().base_weights();
+    }
+    void begin_run(const Vec& x0) override;
+    void sample_cohort(std::size_t, std::vector<WorkerId>&,
+                       std::vector<Scalar>&) override {}
+    std::vector<WorkerId> set_cohort(
+        const std::vector<WorkerId>& ids) override;
+    WorkerSet& workers() override { return view_; }
+    void set_absent_replay(AbsentPolicy, Scalar) override {}
 
-  // Shared loop body behind both run() overloads and run_with_oracle().
-  // `oracle` may be null (full availability).
-  RunResult run_impl(Algorithm& alg, const AvailabilityOracle* oracle);
+   private:
+    Engine& e_;
+    std::optional<Population> pop_;
+    Vec x0_;
+    std::vector<WorkerState> states_;
+    std::vector<std::uint32_t> slot_of_id_;  // identity
+    WorkerSet view_;
+  };
+
+  // Fresh tier states for a run: x0, the provider's begin_run and the
+  // edges. Returns the provider's data masses D_i, which weigh the edges.
+  std::vector<Scalar> build_states(RunState& rs);
 
   // Interval head: sample (or, on the first interval, fix) the cohort,
-  // materialize it through the provider if one is attached, compose the
-  // roster from the oracle, and run init_worker on first-timers — plus
-  // Algorithm::init on the first interval.
+  // materialize it through the provider, compose the roster from the
+  // oracle, and run init_worker on first-timers — plus Algorithm::init on
+  // the first interval.
   void open_interval(Algorithm& alg, RunState& rs, std::size_t k,
                      const AvailabilityOracle* oracle, bool first_interval);
 
@@ -238,12 +267,13 @@ class Engine {
                                  WorkerSet& workers);
 
   nn::ModelFactory factory_;
-  CohortProvider* provider_ = nullptr;
   const data::TrainTest* data_;
   data::Partition partition_;
   Topology topo_;
   RunConfig cfg_;
   std::unique_ptr<ThreadPool> pool_;
+  FullCohort full_{*this};
+  CohortProvider* provider_ = &full_;  // never null
   // One evaluation slot per pool thread: a model plus its batch-gather
   // scratch, kept together so every evaluate() reuses the same buffers.
   struct EvalSlot {

@@ -1,10 +1,10 @@
-#include "src/pop/population.h"
+#include "src/fl/population.h"
 
 #include "src/common/errors.h"
 
-namespace hfl::pop {
+namespace hfl::fl {
 
-Population::Population(const fl::Topology& topo,
+Population::Population(const Topology& topo,
                        const data::Partition& partition) {
   const std::size_t n = topo.num_workers();
   HFL_CHECK(partition.size() == n,
@@ -31,4 +31,4 @@ std::vector<Scalar> Population::base_weights() const {
   return base;
 }
 
-}  // namespace hfl::pop
+}  // namespace hfl::fl

@@ -1,20 +1,15 @@
-// Compact worker descriptors for virtualized populations.
+// Compact worker descriptors: the one table behind every worker's data
+// weights.
 //
-// The dense engine materializes one `fl::WorkerState` per worker — model
-// instance, momentum vectors, batch streams — which caps a single box at a
-// few thousand workers. A `Population` keeps only what cohort selection and
-// weight renormalization actually need, in flat arrays indexed by the
-// 32-bit worker id: the per-worker sample count D_{i,ℓ} (the paper's data
-// mass), the edge assignment, and the per-edge/total sample sums the
-// aggregation weights are derived from. Everything heavier lives in
-// `CohortStore`, which materializes full states only for the round's
-// sampled cohort.
-//
-// Weight derivations reproduce the dense engine's arithmetic exactly
-// (integer sample counts cast to Scalar, divided in the same order), so a
-// worker materialized through this path carries bit-identical
-// weight_in_edge / weight_global to its dense twin — one of the invariants
-// behind tests/pop_parity_test.cpp.
+// A `Population` keeps what the aggregation weights and cohort selection
+// need, in flat arrays indexed by the 32-bit worker id: the per-worker
+// sample count D_{i,ℓ} (the paper's data mass), the edge assignment, and
+// the per-edge/total sample sums the weights are derived from. Both cohort
+// providers read it — the engine's built-in full-cohort provider
+// (src/fl/engine.h) and `pop::CohortStore` (src/pop/cohort_store.h) — and
+// `init_worker_state` (src/fl/state.h) copies a worker's weights out of it,
+// so every materialized worker carries the same weight_in_edge /
+// weight_global whichever provider built it.
 #pragma once
 
 #include <cstdint>
@@ -24,13 +19,13 @@
 #include "src/data/partitioner.h"
 #include "src/fl/topology.h"
 
-namespace hfl::pop {
+namespace hfl::fl {
 
 class Population {
  public:
   // Descriptors for `topo`'s workers with per-worker sample counts read off
   // `partition` (partition[i].size() = worker i's D_{i,ℓ}).
-  Population(const fl::Topology& topo, const data::Partition& partition);
+  Population(const Topology& topo, const data::Partition& partition);
 
   std::size_t num_workers() const { return num_samples_.size(); }
   std::size_t num_edges() const { return edge_samples_.size(); }
@@ -42,7 +37,7 @@ class Population {
     return num_samples_[worker];
   }
 
-  // The dense engine's weight formulas, value for value.
+  // D_{i,ℓ}/D_ℓ and D_{i,ℓ}/D: integer sample counts cast to Scalar.
   Scalar weight_in_edge(std::size_t worker) const {
     return static_cast<Scalar>(num_samples_[worker]) /
            static_cast<Scalar>(edge_samples_[edge_of_worker_[worker]]);
@@ -58,8 +53,7 @@ class Population {
   }
 
   // Per-worker data masses D_i as Scalars — the sampler weights, and the
-  // base weights `fl::Participation` renormalizes (bit-identical to the
-  // dense path's num_samples reads).
+  // base weights `fl::Participation` renormalizes.
   std::vector<Scalar> base_weights() const;
 
  private:
@@ -69,4 +63,4 @@ class Population {
   std::uint64_t total_samples_ = 0;            // D
 };
 
-}  // namespace hfl::pop
+}  // namespace hfl::fl

@@ -4,6 +4,7 @@
 
 #include "src/common/thread_pool.h"
 #include "src/fl/availability.h"
+#include "src/fl/population.h"
 
 namespace hfl::fl {
 
@@ -78,6 +79,34 @@ void WorkerState::clear_transients() {
   batch_x_.resize({0});
   batch_y_.clear();
   batch_rows_.clear();
+}
+
+void init_worker_state(WorkerState& w, WorkerId id, const Population& pop,
+                       const Vec& x0, const Rng& root,
+                       const data::Dataset& train,
+                       const data::Partition& partition,
+                       std::size_t batch_size) {
+  HFL_CHECK(!x0.empty(), "worker initialized before the run's x0 exists");
+  const std::size_t n = x0.size();
+  const std::size_t i = id;
+  w.id = id;
+  w.edge = pop.edge_of(i);
+  w.num_samples = pop.num_samples(i);
+  w.weight_in_edge = pop.weight_in_edge(i);
+  w.weight_global = pop.weight_global(i);
+  w.x = x0;
+  w.y = x0;
+  w.v.assign(n, 0.0);
+  w.grad.assign(n, 0.0);
+  w.last_loss = 0;
+  w.sum_grad.assign(n, 0.0);
+  w.sum_y.assign(n, 0.0);
+  w.sum_v.assign(n, 0.0);
+  w.extra.clear();
+  w.clear_transients();
+  Rng wrng = root.fork_nth(1000 + i, 2 + i);
+  w.batcher->reset(train, partition[i], batch_size, wrng.fork(1));
+  w.aux_batcher->reset(train, partition[i], batch_size, wrng.fork(2));
 }
 
 namespace {
@@ -179,10 +208,9 @@ void aggregate_global(const WorkerSet& workers, WorkerVecAccessor acc,
   if (part != nullptr) {
     HFL_CHECK(part->num_active() > 0, "no participating workers this round");
   }
-  // Iterates the materialized states only (ascending id, the dense engine's
-  // exact order): with a roster every active worker is materialized, so the
-  // gather — and therefore the FP summation order — is identical across the
-  // dense and virtualized layouts.
+  // Iterates the materialized states only, in ascending id: with a roster
+  // every active worker is materialized, so the gather — and therefore the
+  // FP summation order — is the same whichever provider materialized them.
   tl_agg_vecs.clear();
   tl_agg_weights.clear();
   for (const WorkerState& w : workers) {

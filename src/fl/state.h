@@ -19,8 +19,10 @@
 #include <string>
 
 #include "src/common/errors.h"
+#include "src/common/rng.h"
 #include "src/common/vec_ops.h"
 #include "src/data/batcher.h"
+#include "src/data/partitioner.h"
 #include "src/fl/topology.h"
 #include "src/nn/model.h"
 
@@ -110,6 +112,19 @@ struct WorkerState {
   const Scalar* pending_grad_at_ = nullptr;
 };
 
+class Population;  // src/fl/population.h
+
+// Worker `id`'s state at the start of a run (Algorithm 1 lines 1–2): weights
+// from `pop`, x = y = x0, zeroed v/grad/accumulators, no extras, and batch
+// streams from root.fork_nth(1000 + i, 2 + i) — stateless, so workers may
+// be initialized concurrently, in any order. Overwrites or resets every
+// field but `model` (`w` may be a recycled state); its batchers must exist.
+void init_worker_state(WorkerState& w, WorkerId id, const Population& pop,
+                       const Vec& x0, const Rng& root,
+                       const data::Dataset& train,
+                       const data::Partition& partition,
+                       std::size_t batch_size);
+
 struct EdgeState {
   std::size_t id = 0;
   Scalar weight_global = 0;  // D_ℓ / D
@@ -130,38 +145,32 @@ struct CloudState {
   std::map<std::string, Vec> extra;
 };
 
-// Index-based view over the materialized WorkerStates of a run. The classic
-// dense engine materializes every worker, so pool slot i holds worker id i;
-// the virtualized engine (src/pop/cohort_store.h) materializes only the
-// sampled cohort and supplies a population-sized id → slot table. Algorithms
-// address workers by GLOBAL id (operator[]) or iterate the materialized
-// states in ascending-id order (begin/end); both patterns behave identically
-// across the two layouts, which is what keeps the dense and virtualized
-// paths bit-identical (tests/pop_parity_test.cpp). Addressing a worker that
-// is not materialized fails loudly — it means engine-side roster logic and
-// the cohort store disagree.
+// Index-based view over the materialized WorkerStates of a run: a pool of
+// states in ascending-id order plus a population-sized id → slot table.
+// The engine's built-in provider materializes every worker (an identity
+// table); pop::CohortStore (src/pop/cohort_store.h) materializes only the
+// sampled cohort. Algorithms address workers by GLOBAL id (operator[]) or
+// iterate the materialized states in ascending-id order (begin/end), so
+// both providers give the same results (tests/pop_parity_test.cpp).
+// Addressing a worker that is not materialized fails loudly — it means
+// engine-side roster logic and the provider disagree.
 class WorkerSet {
  public:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
   WorkerSet() = default;
-  // Dense view: pool slot i holds worker id i. The pool must outlive the
-  // view (the view tracks the vector object, not its buffer).
-  explicit WorkerSet(std::vector<WorkerState>* pool) : pool_(pool) {}
-  // Sparse view over an ascending-id cohort. `slot_of_id` has one entry per
-  // population id (kNoSlot = not materialized) and must outlive the view.
+  // `slot_of_id` has one entry per population id (kNoSlot = not
+  // materialized). Both vectors must outlive the view, which tracks the
+  // vector objects, not their buffers.
   WorkerSet(std::vector<WorkerState>* pool, std::size_t population,
             const std::vector<std::uint32_t>* slot_of_id)
       : pool_(pool), population_(population), slot_of_id_(slot_of_id) {}
 
-  // Population size (== materialized count for dense views).
-  std::size_t size() const {
-    return slot_of_id_ != nullptr ? population_ : pool_->size();
-  }
+  // Population size, materialized or not.
+  std::size_t size() const { return population_; }
   std::size_t num_materialized() const { return pool_->size(); }
   bool is_materialized(std::size_t id) const {
-    return slot_of_id_ == nullptr ? id < pool_->size()
-                                  : (*slot_of_id_)[id] != kNoSlot;
+    return (*slot_of_id_)[id] != kNoSlot;
   }
 
   WorkerState& operator[](std::size_t id) {
@@ -185,7 +194,6 @@ class WorkerSet {
 
  private:
   std::size_t slot_of(std::size_t id) const {
-    if (slot_of_id_ == nullptr) return id;
     const std::uint32_t s = (*slot_of_id_)[id];
     HFL_CHECK(s != kNoSlot,
               "worker " + std::to_string(id) +
@@ -195,7 +203,7 @@ class WorkerSet {
 
   std::vector<WorkerState>* pool_ = nullptr;
   std::size_t population_ = 0;
-  const std::vector<std::uint32_t>* slot_of_id_ = nullptr;  // null = dense
+  const std::vector<std::uint32_t>* slot_of_id_ = nullptr;
 };
 
 // Weighted aggregation helpers. The accessor receives a worker/edge and
@@ -210,8 +218,7 @@ class Participation;  // src/fl/availability.h
 void aggregate_edge(const Topology& topo, std::size_t edge,
                     const WorkerSet& workers, WorkerVecAccessor acc, Vec& out);
 
-// out = Σ_i (D_{i,ℓ}/D) · acc(worker_i) over all materialized workers
-// (== all workers in the dense engine).
+// out = Σ_i (D_{i,ℓ}/D) · acc(worker_i) over all materialized workers.
 void aggregate_global(const WorkerSet& workers, WorkerVecAccessor acc,
                       Vec& out);
 

@@ -271,7 +271,8 @@ std::vector<fl::WorkerId> CohortStore::set_cohort(
         deserialize(next_[i], ids[i], restore_bufs_[i]);
         break;
       case kFresh:
-        materialize_fresh(next_[i], ids[i]);
+        fl::init_worker_state(next_[i], ids[i], pop_, x0_, root_,
+                              data_->train, *partition_, run_.batch_size);
         break;
     }
   });
@@ -299,37 +300,6 @@ std::vector<fl::WorkerId> CohortStore::set_cohort(
   }
   publish_gauges();
   return fresh;
-}
-
-void CohortStore::materialize_fresh(fl::WorkerState& w, fl::WorkerId id) {
-  HFL_CHECK(!x0_.empty(), "set_cohort before begin_run");
-  const std::size_t n = x0_.size();
-  const std::size_t i = id;
-  // Every field is overwritten or reset: `w` may be a shell that last held
-  // another worker.
-  w.id = id;
-  w.edge = pop_.edge_of(i);
-  w.num_samples = pop_.num_samples(i);
-  w.weight_in_edge = pop_.weight_in_edge(i);
-  w.weight_global = pop_.weight_global(i);
-  w.x = x0_;
-  w.y = x0_;
-  w.v.assign(n, 0.0);
-  w.grad.assign(n, 0.0);
-  w.last_loss = 0;
-  w.sum_grad.assign(n, 0.0);
-  w.sum_y.assign(n, 0.0);
-  w.sum_v.assign(n, 0.0);
-  w.extra.clear();
-  w.clear_transients();
-  // Stream lockstep with the dense engine: worker i's stream is the
-  // (2 + i)-th fork of the run root (fork 1 is the init-model stream) —
-  // see Engine::build_states.
-  Rng wrng = root_.fork_nth(1000 + i, 2 + i);
-  w.batcher->reset(data_->train, (*partition_)[i], run_.batch_size,
-                   wrng.fork(1));
-  w.aux_batcher->reset(data_->train, (*partition_)[i], run_.batch_size,
-                       wrng.fork(2));
 }
 
 void CohortStore::serialize(const fl::WorkerState& w,

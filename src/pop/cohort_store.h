@@ -3,15 +3,13 @@
 // `CohortStore` is the pop-side implementation of `fl::CohortProvider`: the
 // engine keeps addressing workers by global id through an `fl::WorkerSet`,
 // but only the current cohort is backed by real `fl::WorkerState`s. Three
-// lifecycle paths, all bit-identical to the dense engine:
+// lifecycle paths, all bit-identical to a run that keeps every worker
+// materialized (the engine's built-in full-cohort provider):
 //
-//   * first materialization — rebuilds exactly the state dense
-//     Engine::build_states would have given the worker: same descriptor
-//     weights (src/pop/population.h), same x0, and the same RNG stream
-//     derivation. The dense loop takes worker i's stream as the (2+i)-th
-//     fork of the run root (fork 1 is the init-model stream), so the lazy
-//     path derives it statelessly with Rng::fork_nth(1000 + i, 2 + i) —
-//     keep in lockstep with src/fl/engine.cpp.
+//   * first materialization — `fl::init_worker_state` (src/fl/state.h),
+//     the function the built-in provider builds every worker with: the
+//     same descriptor weights (src/fl/population.h), the same x0 and the
+//     same stateless stream derivation off the run seed.
 //   * spill — a worker leaving the cohort serializes every mutable field
 //     (x, y, v, grad, accumulators, `extra`, both batch-stream
 //     checkpoints) into the slab.
@@ -24,10 +22,12 @@
 // and vector capacity intact — and the next restore or first-time create
 // overwrites or resets every field of it except the model, which it runs
 // as found. That is only sound because the factory contract (below)
-// forbids models that keep state between batches. The model factory runs only while the free list is empty,
-// i.e. while the materialized count first grows to the cohort size, so a
-// steady-state turnover allocates nothing for worker state (the memory
-// slab still stores each newly spilled worker's first blob).
+// forbids models that keep state between batches. The model factory runs
+// only while the free list is empty, i.e. while the materialized count
+// first grows to the cohort size, so a steady-state turnover allocates
+// nothing for worker state (the memory slab still stores each newly
+// spilled worker's first blob). The built-in full-cohort provider does not
+// recycle: it builds every model afresh each run.
 //
 // Cohort selection: exact weighted sampling by data mass D_i —
 // without-replacement via the Fenwick sampler, or with-replacement via the
@@ -47,7 +47,7 @@
 #include "src/common/rng.h"
 #include "src/data/partitioner.h"
 #include "src/fl/engine.h"
-#include "src/pop/population.h"
+#include "src/fl/population.h"
 #include "src/pop/sampler.h"
 #include "src/pop/slab.h"
 
@@ -110,16 +110,15 @@ class CohortStore final : public fl::CohortProvider {
   }
 
   // Introspection (tests, bench) -------------------------------------------
-  const Population& descriptors() const { return pop_; }
+  const fl::Population& descriptors() const { return pop_; }
   const VirtConfig& config() const { return cfg_; }
   std::size_t num_materialized() const { return pool_.size(); }
   std::size_t peak_materialized() const { return peak_materialized_; }
   const Slab& slab() const { return slab_; }
 
  private:
-  // Both overwrite or reset every field of `w`, which may be a shell last
-  // held by another worker; its model is kept.
-  void materialize_fresh(fl::WorkerState& w, fl::WorkerId id);
+  // Overwrites or resets every field of `w`, which may be a shell last held
+  // by another worker; its model is kept.
   void deserialize(fl::WorkerState& w, fl::WorkerId id,
                    const std::vector<char>& blob) const;
   void serialize(const fl::WorkerState& w, std::vector<char>& blob) const;
@@ -135,7 +134,7 @@ class CohortStore final : public fl::CohortProvider {
   const fl::Topology* topo_;
   fl::RunConfig run_;
   VirtConfig cfg_;
-  Population pop_;
+  fl::Population pop_;
 
   Rng root_;       // Rng(run.seed): fork_nth source for worker streams
   Vec x0_;         // shared initial point of the current run

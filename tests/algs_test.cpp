@@ -23,7 +23,8 @@ struct FakeSetup {
   fl::Topology topo{std::vector<std::size_t>{2}};
   fl::RunConfig cfg;
   std::vector<fl::WorkerState> workers;
-  fl::WorkerSet worker_set{&workers};
+  std::vector<std::uint32_t> slots{0, 1};
+  fl::WorkerSet worker_set{&workers, 2, &slots};
   std::vector<fl::EdgeState> edges;
   fl::CloudState cloud;
 

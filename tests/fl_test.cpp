@@ -55,7 +55,8 @@ TEST(StateTest, EdgeAggregationWeights) {
   workers[1].x = {0, 4};
   workers[2].x = {1, 1};
   Vec out;
-  const WorkerSet view(&workers);
+  const std::vector<std::uint32_t> slots{0, 1, 2};
+  const WorkerSet view(&workers, 3, &slots);
   aggregate_edge(topo, 0, view, worker_x, out);
   EXPECT_EQ(out, (Vec{1.0, 3.0}));
   aggregate_edge(topo, 1, view, worker_x, out);
@@ -69,7 +70,8 @@ TEST(StateTest, GlobalAggregationUsesGlobalWeights) {
   workers[0].y = {2, 0};
   workers[1].y = {0, 2};
   Vec out;
-  const WorkerSet view(&workers);
+  const std::vector<std::uint32_t> slots{0, 1};
+  const WorkerSet view(&workers, 2, &slots);
   aggregate_global(view, worker_y, out);
   EXPECT_EQ(out, (Vec{1.0, 1.0}));
 }

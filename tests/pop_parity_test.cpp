@@ -18,6 +18,12 @@
 //     design: their init probes every worker's aux stream, and a sampled
 //     store materializes only the first cohort (documented in DESIGN.md).
 //
+//   * The engine's built-in full-cohort provider is a complete engine mode:
+//     detaching a store gives back the fresh dense run, an oracle run
+//     replays a schedule exactly, and every run rebuilds the worker models
+//     (so stateful layers such as dropout repeat). A provider the engine
+//     lets go drops the engine's thread pool and outlives the engine.
+//
 //   * Sampled runs are seed-deterministic: 1-thread and 4-thread runs (and
 //     repeated runs, exercising a fresh spill/restore history each time)
 //     are bit-identical — this is the HierAdMo momentum spill/restore
@@ -33,7 +39,13 @@
 #include "src/algs/registry.h"
 #include "src/data/partitioner.h"
 #include "src/data/synthetic.h"
+#include "src/nn/activations.h"
+#include "src/nn/dense.h"
+#include "src/nn/dropout.h"
+#include "src/nn/flatten.h"
+#include "src/nn/loss.h"
 #include "src/nn/models.h"
+#include "src/nn/sequential.h"
 #include "src/obs/comm.h"
 #include "src/obs/registry.h"
 #include "src/pop/cohort_store.h"
@@ -383,13 +395,10 @@ TEST(SampledDeterminismTest, MaterializationStaysCohortBounded) {
   EXPECT_GT(store.slab().num_entries(), 0u);  // rotation actually spilled
 }
 
-TEST(SampledModeGuardsTest, RejectsMisalignedEvalAndMissingProvider) {
+TEST(SampledModeGuardsTest, RejectsMisalignedEval) {
   Fixture f;
   auto alg = algs::make_algorithm("HierAdMo");
   RunConfig cfg = f.cfg3;
-  Engine bare(f.factory, f.dataset, f.partition, f.topo, cfg);
-  EXPECT_THROW(bare.run_with_oracle(*alg, nullptr), Error);
-
   cfg.eval_every = 3;  // not a multiple of tau*pi = 4
   Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
   pop::VirtConfig virt;
@@ -398,6 +407,109 @@ TEST(SampledModeGuardsTest, RejectsMisalignedEvalAndMissingProvider) {
                          virt);
   engine.set_cohort_provider(&store);
   EXPECT_THROW(engine.run(*alg), Error);
+}
+
+// Provider lifecycle: detaching a store hands the engine back to its
+// built-in full-cohort provider, which rebuilds every worker from the seed.
+TEST(ProviderLifecycleTest, DetachedStoreRunMatchesFreshDenseRun) {
+  Fixture f;
+  RunConfig cfg = f.cfg3;
+  cfg.num_threads = 4;
+  const sim::FaultPlan plan(f.topo, cfg, fault_config());
+  pop::VirtConfig virt;
+  virt.cohort_size = 16;
+  pop::CohortStore store(f.factory, f.dataset, f.partition, f.topo, cfg,
+                         virt);
+  Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
+  engine.set_cohort_provider(&store);
+  auto sampled_alg = algs::make_algorithm("HierAdMo");
+  const RunResult sampled = engine.run(*sampled_alg, &plan.schedule());
+  EXPECT_GT(store.slab().num_entries(), 0u);
+  engine.set_cohort_provider(nullptr);
+  auto alg = algs::make_algorithm("HierAdMo");
+  const RunResult detached = engine.run(*alg, &plan.schedule());
+
+  Engine fresh(f.factory, f.dataset, f.partition, f.topo, cfg);
+  auto fresh_alg = algs::make_algorithm("HierAdMo");
+  const RunResult dense = fresh.run(*fresh_alg, &plan.schedule());
+  expect_identical(dense, detached);
+  EXPECT_NE(dense.final_params, sampled.final_params);
+}
+
+// A provider the engine lets go (replaced or detached) no longer holds the
+// engine's thread pool, so it keeps working after the engine is gone.
+TEST(ProviderLifecycleTest, ReleasedStoreOutlivesEngine) {
+  Fixture f;
+  RunConfig cfg = f.cfg3;
+  cfg.num_threads = 4;
+  pop::VirtConfig virt;
+  virt.cohort_size = 16;
+  pop::CohortStore replaced(f.factory, f.dataset, f.partition, f.topo, cfg,
+                            virt);
+  pop::CohortStore detached(f.factory, f.dataset, f.partition, f.topo, cfg,
+                            virt);
+  {
+    Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
+    auto alg = algs::make_algorithm("HierAdMo");
+    engine.set_cohort_provider(&replaced);
+    engine.run(*alg);
+    engine.set_cohort_provider(&detached);
+    engine.run(*alg);
+    engine.set_cohort_provider(nullptr);
+  }
+  std::vector<WorkerId> all(f.topo.num_workers());
+  std::iota(all.begin(), all.end(), WorkerId{0});
+  for (pop::CohortStore* store : {&replaced, &detached}) {
+    store->begin_run(Vec(f.factory()->num_params(), 0.0));
+    EXPECT_EQ(store->set_cohort(all), all);
+    EXPECT_EQ(store->num_materialized(), all.size());
+  }
+}
+
+// The built-in provider is a full engine mode: an oracle run replays a
+// dense schedule exactly like run(alg, schedule) does.
+TEST(DenseEngineTest, OracleRunMatchesScheduleRun) {
+  Fixture f;
+  RunConfig cfg = f.cfg3;
+  cfg.num_threads = 4;
+  const sim::FaultPlan plan(f.topo, cfg, fault_config());
+  Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
+  auto a = algs::make_algorithm("HierAdMo");
+  auto b = algs::make_algorithm("HierAdMo");
+  const RunResult scheduled = engine.run(*a, &plan.schedule());
+  const ScheduleOracle oracle(plan.schedule());
+  const RunResult oracled = engine.run_with_oracle(*b, &oracle);
+  EXPECT_FALSE(scheduled.participation.empty());
+  expect_identical(scheduled, oracled);
+}
+
+// Every run builds its worker models afresh, so a model whose layers keep
+// state between batches (nn::Dropout's mask stream) starts each run the
+// same way.
+TEST(DenseEngineTest, DropoutModelRunsRepeatIdentically) {
+  Fixture f;
+  const std::vector<std::size_t> shape{1, 3, 3};
+  const nn::ModelFactory factory = [shape] {
+    auto net = std::make_unique<nn::Sequential>();
+    net->emplace<nn::Flatten>();
+    net->emplace<nn::Dense>(9, 8, nn::InitScheme::kHe);
+    net->emplace<nn::ReLU>();
+    net->emplace<nn::Dropout>(0.5);
+    net->emplace<nn::Dense>(8, 3, nn::InitScheme::kXavier);
+    auto model = std::make_unique<nn::Model>(
+        std::move(net), std::make_unique<nn::SoftmaxCrossEntropy>(), shape);
+    Rng rng(9);
+    model->init_params(rng);  // seeds the dropout mask stream
+    return model;
+  };
+  RunConfig cfg = f.cfg3;
+  cfg.num_threads = 4;
+  Engine engine(factory, f.dataset, f.partition, f.topo, cfg);
+  auto a = algs::make_algorithm("HierAdMo");
+  auto b = algs::make_algorithm("HierAdMo");
+  const RunResult first = engine.run(*a);
+  const RunResult second = engine.run(*b);
+  expect_identical(first, second);
 }
 
 // Mime under cohort sampling: the population-wide ĝ probe is replaced by a

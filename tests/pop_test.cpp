@@ -13,7 +13,7 @@
 //     enumeration probabilities.
 //   * Slab round-trips blobs on both backends and keeps honest byte
 //     accounting.
-//   * Population descriptors reproduce the dense engine's weight arithmetic.
+//   * Population descriptors reproduce the weights D_{i,ℓ}/D_ℓ and D_{i,ℓ}/D.
 //   * SparseFaultPlan answers every (interval, entity) query bit-identically
 //     to the dense FaultPlan built from the same config, in any query order.
 //   * Slab failure paths: a truncated spill file fails the read, a failed
@@ -40,9 +40,9 @@
 #include "src/common/thread_pool.h"
 #include "src/data/partitioner.h"
 #include "src/data/synthetic.h"
+#include "src/fl/population.h"
 #include "src/nn/models.h"
 #include "src/pop/cohort_store.h"
-#include "src/pop/population.h"
 #include "src/pop/sampler.h"
 #include "src/pop/slab.h"
 #include "src/sim/fault_plan.h"
@@ -286,7 +286,7 @@ struct PopFixture {
 
 TEST(PopulationTest, DescriptorsMatchDenseArithmetic) {
   PopFixture f;
-  const pop::Population pop(f.topo, f.partition);
+  const fl::Population pop(f.topo, f.partition);
   ASSERT_EQ(pop.num_workers(), f.topo.num_workers());
   std::size_t total = 0;
   std::vector<std::size_t> per_edge(f.topo.num_edges(), 0);
